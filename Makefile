@@ -1,6 +1,6 @@
 # Developer entry points. The go toolchain is the only dependency.
 
-.PHONY: test bench plan-baseline lint
+.PHONY: test bench bench-check plan-baseline lint
 
 test:
 	go build ./... && go test ./...
@@ -20,6 +20,15 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkSimCluster|BenchmarkPipelineSim' -benchtime 2s \
 		./internal/cluster ./internal/pipeline | go run ./cmd/benchjson > BENCH_sim.json
 	@cat BENCH_sim.json
+
+# bench-check compiles, tests and smoke-runs the repository benchmark.
+# bench/ is a module of its own, so `go build ./...` and `go test ./...` at
+# the root never load it: without this, a refactor that breaks the API it
+# compiles against goes unnoticed until the benchmark is next run.
+bench-check:
+	go -C bench vet .
+	go -C bench test .
+	bash bench/run.sh --quick --seed 1
 
 # plan-baseline regenerates the committed planner search-cost baseline: the
 # events-simulated count of each optimization stage on a pinned search

@@ -66,10 +66,12 @@ func TestRunClusterIntegratedAllPolicies(t *testing.T) {
 
 // TestRunClusterSimulatedStraggler demonstrates through the public API that
 // queue-aware balancing beats random routing on a cluster with one slowed
-// replica. (The simulation stage is exactly deterministic given the seed —
-// see internal/cluster's TestSimulateDeterministic; here the calibration
-// stage measures the real application, so only the qualitative gap is
-// asserted.)
+// replica. The calibration stage measures the real application once and both
+// policies simulate on those same samples: the simulation stage is exactly
+// deterministic given the seed (see internal/cluster's
+// TestSimulateDeterministic), so the two runs differ in the policy alone.
+// The samples themselves follow the host, so only the qualitative gap is
+// asserted.
 func TestRunClusterSimulatedStraggler(t *testing.T) {
 	samples, err := MeasureServiceTimes("masstree", 0.05, 5, 200)
 	if err != nil {
@@ -81,18 +83,18 @@ func TestRunClusterSimulatedStraggler(t *testing.T) {
 	run := func(policy string) *ClusterResult {
 		t.Helper()
 		res, err := RunCluster(ClusterSpec{
-			App:                 "masstree",
-			Mode:                ModeSimulated,
-			Policy:              policy,
-			Replicas:            4,
-			Threads:             1,
-			QPS:                 qps,
-			Requests:            3000,
-			Warmup:              300,
-			Scale:               0.05,
-			Seed:                5,
-			Slowdowns:           []float64{4, 1, 1, 1},
-			CalibrationRequests: 200,
+			App:            "masstree",
+			Mode:           ModeSimulated,
+			Policy:         policy,
+			Replicas:       4,
+			Threads:        1,
+			QPS:            qps,
+			Requests:       3000,
+			Warmup:         300,
+			Scale:          0.05,
+			Seed:           5,
+			Slowdowns:      []float64{4, 1, 1, 1},
+			ServiceSamples: samples,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tailbench/internal/app"
@@ -110,9 +108,6 @@ func (c Config) withDefaults(pool int) Config {
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4096
-	}
 	if c.Requests <= 0 {
 		c.Requests = 1000
 	}
@@ -170,41 +165,8 @@ func (c Config) slowdownFor(idx int) float64 {
 	return s
 }
 
-// replica is the runtime state of one live replica: its lifecycle record in
-// the set, its accounting, and the transport-owned serving runtime (the
-// bounded queue of the in-process transport, or the connection pool and
-// pending map of the networked transports).
-type replica struct {
-	member   *Member
-	server   app.Server
-	slowdown float64
-
-	// queue and qClosed are the in-process transport's runtime (dispatcher
-	// goroutine only).
-	queue   chan clusterPending
-	qClosed bool
-
-	// pool, pending, and pendMu are the networked transports' runtime: the
-	// client-side connection pool to the replica's NetServer and the
-	// requests awaiting responses on it.
-	pool    *core.ReplicaConn
-	pendMu  sync.Mutex
-	pending map[uint64]clusterPending
-
-	outstanding atomic.Int64
-	// lastDone is the offset (nanoseconds from run start) of the replica's
-	// most recent completion, stored before outstanding is decremented so
-	// that an observed zero outstanding count has an accurate idle instant.
-	lastDone   atomic.Int64
-	dispatched uint64 // dispatcher goroutine only
-	depth      DepthAccum
-
-	collector *core.Collector
-}
-
-// clusterPending is one request flowing through a replica's queue.
-type clusterPending struct {
-	payload app.Request
+// clusterTag is the cluster engine's per-request tag through the fleet.
+type clusterTag struct {
 	// scheduled is the arrival instant assigned by the traffic shaper;
 	// sojourn time is measured from it, so dispatcher and balancer lag count
 	// as latency.
@@ -212,24 +174,17 @@ type clusterPending struct {
 	// offset is the scheduled arrival offset from the start of the run, for
 	// windowed accounting.
 	offset time.Duration
-	// enqueue is when the request actually entered the replica's queue; the
-	// queue component is measured from it, matching core.Sample semantics.
-	enqueue time.Time
-	warmup  bool
+	warmup bool
 }
 
-// liveEngine is the run-scoped state of the live cluster path: the server
-// pool, the replica set and per-replica runtimes, and the tick accounting
-// the autoscaler observes.
+// liveEngine is the run-scoped state of the live cluster path: the fleet of
+// replicas plus what is the cluster engine's own — the pre-generated load,
+// the single dispatcher with its deadline, and the aggregate collector.
 type liveEngine struct {
 	cfg      Config
-	servers  []app.Server
-	client   app.Client
-	balancer Balancer
-	tr       transport
-
-	set      *ReplicaSet
-	replicas []*replica // indexed by member ID
+	fleet    *Fleet[clusterTag]
+	payloads []app.Request
+	offsets  []time.Duration
 
 	aggregate *core.Collector
 	// traceRTT is the synthetic round-trip charged inside each sojourn
@@ -237,16 +192,6 @@ type liveEngine struct {
 	// residual as a net span.
 	traceRTT time.Duration
 	start    time.Time
-	workers  sync.WaitGroup
-
-	// autoscale marks whether workers should feed the tick buffer; tickMu
-	// guards it against the dispatcher's per-tick harvest. Entries carry
-	// their completion offset so a control tick can window exactly the
-	// completions that finished at or before its instant, mirroring the
-	// simulated engine.
-	autoscale bool
-	tickMu    sync.Mutex
-	tickBuf   []completion
 }
 
 // Run measures a cluster of live replica servers under the open-loop
@@ -259,32 +204,24 @@ type liveEngine struct {
 // owns the servers (they are not closed). All replicas must serve the same
 // application; appName labels the result.
 func Run(appName string, servers []app.Server, newClient core.ClientFactory, cfg Config) (*Result, error) {
-	if len(servers) == 0 {
-		return nil, ErrNoReplicas
-	}
-	if newClient == nil {
-		return nil, core.ErrNilClient
-	}
-	if len(cfg.Slowdowns) != 0 && len(cfg.Slowdowns) != len(servers) {
-		return nil, ErrSlowdownsLen
-	}
-	if len(cfg.ThreadsPer) != 0 && len(cfg.ThreadsPer) != len(servers) {
-		return nil, ErrThreadsPerLen
-	}
-	if cfg.Replicas > len(servers) {
-		return nil, fmt.Errorf("%w (%d > %d)", ErrReplicaCount, cfg.Replicas, len(servers))
-	}
-	cfg = cfg.withDefaults(len(servers))
-	balancer, err := NewBalancer(cfg.Policy, cfg.Seed)
+	eng, err := newLiveEngine(servers, newClient, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var loop *ControlLoop
-	if cfg.Autoscale != nil {
-		loop, err = NewControlLoop(*cfg.Autoscale, cfg.Replicas, len(servers))
-		if err != nil {
-			return nil, err
-		}
+	return eng.run(appName)
+}
+
+// newLiveEngine validates the configuration, pre-generates the load, and
+// brings the fleet up; the returned engine is serving and ready to run.
+func newLiveEngine(servers []app.Server, newClient core.ClientFactory, cfg Config) (*liveEngine, error) {
+	cfg = cfg.withDefaults(len(servers))
+	eng := &liveEngine{cfg: cfg}
+	fleet, err := NewFleet(servers, cfg, "replica", eng.complete)
+	if err != nil {
+		return nil, err
+	}
+	if newClient == nil {
+		return nil, core.ErrNilClient
 	}
 	client, err := newClient(workload.SplitSeed(cfg.Seed, 1))
 	if err != nil {
@@ -294,253 +231,85 @@ func Run(appName string, servers []app.Server, newClient core.ClientFactory, cfg
 	total := cfg.WarmupRequests + cfg.Requests
 	// Pre-generate payloads so request construction never perturbs dispatch
 	// timing, mirroring the single-server integrated harness.
-	payloads := make([]app.Request, total)
-	for i := range payloads {
-		payloads[i] = client.NextRequest()
+	eng.payloads = make([]app.Request, total)
+	for i := range eng.payloads {
+		eng.payloads[i] = client.NextRequest()
 	}
 	shaper := core.NewShapedTrafficShaper(cfg.shape(), workload.SplitSeed(cfg.Seed, 2))
-	offsets := shaper.Schedule(total)
+	eng.offsets = shaper.Schedule(total)
 
-	aggregate := core.NewCollector(cfg.KeepRaw)
+	eng.aggregate = core.NewCollector(cfg.KeepRaw)
 	if _, on := cfg.windowing(); on {
-		aggregate = core.NewWindowedCollector(cfg.KeepRaw)
+		eng.aggregate = core.NewWindowedCollector(cfg.KeepRaw)
 	}
 	// The engine mirrors measured samples into the tracer itself (it knows
 	// the serving replica); the aggregate collector only carries the live
 	// instruments, never a second tracer.
-	aggregate.SetMetrics(cfg.Metrics, "cluster")
-	eng := &liveEngine{
-		cfg:       cfg,
-		servers:   servers,
-		client:    client,
-		balancer:  balancer,
-		set:       NewReplicaSet(len(servers)),
-		aggregate: aggregate,
-		autoscale: loop != nil,
-	}
-	eng.tr, err = newTransport(cfg.Transport, eng)
-	if err != nil {
+	eng.aggregate.SetMetrics(cfg.Metrics, "cluster")
+	if err := fleet.Serve(client); err != nil {
 		return nil, err
 	}
-	if nt, ok := eng.tr.(*netTransport); ok {
-		eng.traceRTT = 2 * nt.delay
-	}
-	for r := 0; r < cfg.Replicas; r++ {
-		eng.provision(eng.set.Provision(0, 0))
-	}
+	eng.fleet = fleet
+	eng.traceRTT = fleet.RTT()
+	return eng, nil
+}
 
-	// Dispatcher: issue requests open-loop at their scheduled instants,
-	// running any due control ticks first, then routing each request through
-	// the balancer on a snapshot of the active replicas.
-	var candidates []Candidate
+// run is the dispatcher: issue requests open-loop at their scheduled
+// instants through the fleet (which runs any due control ticks first, then
+// routes on a snapshot of the active replicas), drain, and assemble.
+func (e *liveEngine) run(appName string) (*Result, error) {
 	var dispatchErr error
-	startTime := time.Now()
-	eng.start = startTime
-	deadline := startTime.Add(cfg.Timeout)
-	for i := 0; i < total; i++ {
-		target := startTime.Add(offsets[i])
+	e.start = time.Now()
+	deadline := e.start.Add(e.cfg.Timeout)
+	for i, payload := range e.payloads {
+		target := e.start.Add(e.offsets[i])
 		core.WaitUntil(target)
 		now := time.Now()
 		if now.After(deadline) {
 			break
 		}
-		if loop != nil {
-			eng.controlTicks(loop, now.Sub(startTime))
-			// Cold-started replicas whose activation instant has passed join
-			// the routable set just before the snapshot, mirroring the
-			// virtual-time engine's advance-then-snapshot order.
-			eng.set.ActivateDue(now.Sub(startTime))
-		}
-		candidates = eng.snapshot(candidates[:0])
-		pick := eng.balancer.Pick(candidates)
-		rep := eng.replicas[pick]
-		rep.depth.Observe(outstandingOf(candidates, pick))
-		rep.dispatched++
-		rep.outstanding.Add(1)
-		p := clusterPending{payload: payloads[i], scheduled: target, offset: offsets[i], enqueue: time.Now(), warmup: i < cfg.WarmupRequests}
-		if err := eng.tr.dispatch(rep, p); err != nil {
-			rep.outstanding.Add(-1)
-			dispatchErr = err
+		tag := clusterTag{scheduled: target, offset: e.offsets[i], warmup: i < e.cfg.WarmupRequests}
+		if dispatchErr = e.fleet.Dispatch(now.Sub(e.start), payload, tag); dispatchErr != nil {
 			break
 		}
 	}
-	shutdownErr := eng.tr.shutdown(deadline)
-	end := time.Since(startTime)
+	shutdownErr := e.fleet.Shutdown(deadline)
+	end := time.Since(e.start)
 	if dispatchErr != nil {
 		return nil, fmt.Errorf("cluster: dispatch failed: %w", dispatchErr)
 	}
 	if shutdownErr != nil {
 		return nil, shutdownErr
 	}
-	// Draining replicas have now finished their accepted work; retire them
-	// at their last completion instant so lifetime spans are accurate.
-	for _, m := range eng.set.Members() {
-		if m.State == StateDraining {
-			eng.set.Retire(m.ID, time.Duration(eng.replicas[m.ID].lastDone.Load()))
-		}
-	}
-
-	return assembleLive(appName, cfg, eng, loop, end), nil
+	return e.assemble(appName, end), nil
 }
 
-// provision builds the runtime replica for a newly provisioned member and
-// hands it to the transport, which brings up its serving runtime (worker
-// pool, or connection pool to its net server).
-func (e *liveEngine) provision(m *Member) {
-	rep := &replica{
-		member:    m,
-		server:    e.servers[m.Slot],
-		slowdown:  e.cfg.slowdownFor(m.Slot),
-		collector: core.NewCollector(false),
+// complete is the fleet's completion callback: derive the sample on the
+// cluster's time axis, close the request at its replica, and record it
+// cluster-wide.
+func (e *liveEngine) complete(rep *Replica[clusterTag], tag clusterTag, c Completion) {
+	sample := core.Sample{
+		Queue:   c.Queue,
+		Service: c.Service,
+		Sojourn: c.End.Sub(tag.scheduled) + e.traceRTT,
+		Warmup:  tag.warmup,
+		Err:     c.Failed,
+		Offset:  tag.offset,
 	}
-	e.replicas = append(e.replicas, rep)
-	e.tr.provision(rep)
-}
-
-// drain tells the transport to stop feeding a draining member: the
-// dispatcher has already removed the replica from the routable set, so its
-// accepted work finishes and the replica retires once its outstanding count
-// reaches zero (observed at the next control tick, or at run end).
-func (e *liveEngine) drain(m *Member) {
-	e.tr.drain(e.replicas[m.ID])
-}
-
-// snapshot appends the active replicas' candidates (ID plus the transport's
-// outstanding-count signal) to buf in ascending ID order.
-func (e *liveEngine) snapshot(buf []Candidate) []Candidate {
-	for _, id := range e.set.ActiveIDs() {
-		buf = append(buf, Candidate{ID: id, Outstanding: e.tr.load(e.replicas[id])})
-	}
-	return buf
-}
-
-// outstandingOf returns the outstanding count the snapshot recorded for the
-// picked replica, so depth accounting sees exactly what the balancer saw.
-func outstandingOf(candidates []Candidate, id int) int {
-	for _, c := range candidates {
-		if c.ID == id {
-			return c.Outstanding
-		}
-	}
-	return 0
-}
-
-// retireDrained retires every draining replica that has gone idle, at its
-// last completion instant.
-func (e *liveEngine) retireDrained() {
-	for _, m := range e.set.Members() {
-		if m.State == StateDraining && e.replicas[m.ID].outstanding.Load() == 0 {
-			e.set.Retire(m.ID, time.Duration(e.replicas[m.ID].lastDone.Load()))
-		}
-	}
-}
-
-// controlTicks runs every control tick due at or before now: observe the
-// cluster, ask the controller for a target, and provision or drain toward
-// it. Ticks fire between dispatches, so their cadence is bounded by arrival
-// spacing; a long quiet gap replays the missed ticks in order, which lets
-// depth-based scale-down proceed during lulls.
-func (e *liveEngine) controlTicks(loop *ControlLoop, now time.Duration) {
-	for loop.Due(now) {
-		at := loop.Begin()
-		e.set.ActivateDue(at)
-		e.retireDrained()
-		outstanding := 0
-		for _, id := range e.set.ActiveIDs() {
-			outstanding += int(e.replicas[id].outstanding.Load())
-		}
-		target := loop.Decide(Observe(at, e.set, outstanding, e.takeCompletions(at)))
-		loop.Apply(e.set, target, at, e.provision, e.drain,
-			func(id int) int { return int(e.replicas[id].outstanding.Load()) })
-	}
-}
-
-// takeCompletions removes and returns the sojourns of buffered completions
-// that finished at or before the tick instant, leaving later ones for
-// subsequent ticks. This keeps each control tick's latency window bounded
-// by its own interval even when several overdue ticks replay after a
-// dispatch gap — the same per-interval view the simulated engine pops off
-// its completion heap, so the two paths feed controllers structurally
-// identical observations.
-func (e *liveEngine) takeCompletions(at time.Duration) []time.Duration {
-	e.tickMu.Lock()
-	defer e.tickMu.Unlock()
-	var taken []time.Duration
-	kept := e.tickBuf[:0]
-	for _, c := range e.tickBuf {
-		if c.finish <= at {
-			taken = append(taken, c.sojourn)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	e.tickBuf = kept
-	return taken
-}
-
-// work drains one replica's queue on one worker goroutine (the in-process
-// transport's serving runtime).
-func (e *liveEngine) work(rep *replica) {
-	for p := range rep.queue {
-		start := time.Now()
-		resp, perr := rep.server.Process(p.payload)
-		if rep.slowdown > 1 {
-			// Straggler injection: inflate the effective service time by
-			// holding the worker (and therefore the replica's capacity) for
-			// the extra duration.
-			time.Sleep(time.Duration((rep.slowdown - 1) * float64(time.Since(start))))
-		}
-		end := time.Now()
-		failed := perr != nil
-		if !failed && e.cfg.Validate {
-			failed = e.client.CheckResponse(p.payload, resp) != nil
-		}
-		e.complete(rep, core.Sample{
-			Queue:   start.Sub(p.enqueue),
-			Service: end.Sub(start),
-			Sojourn: end.Sub(p.scheduled),
-			Warmup:  p.warmup,
-			Err:     failed,
-			Offset:  p.offset,
-		}, end)
-	}
-}
-
-// complete records one finished request, whichever transport carried it:
-// per-replica and aggregate accounting, the replica's last-completion
-// instant, and (when autoscaling) the control loop's tick buffer. It is
-// called from worker goroutines (in-process) or connection-pool readers
-// (networked), possibly several concurrently per replica.
-func (e *liveEngine) complete(rep *replica, sample core.Sample, end time.Time) {
-	// Max-store: with several workers the last finisher is not necessarily
-	// the last storer, and retirement instants must be the true latest
-	// completion.
-	done := end.Sub(e.start).Nanoseconds()
-	for {
-		prev := rep.lastDone.Load()
-		if done <= prev || rep.lastDone.CompareAndSwap(prev, done) {
-			break
-		}
-	}
-	rep.outstanding.Add(-1)
+	rep.Finish(sample, c.End.Sub(e.start))
 	if !sample.Warmup {
 		e.cfg.Trace.ObserveRequest(sample.Offset, sample.Queue, sample.Service,
-			sample.Sojourn, e.traceRTT, 0, rep.member.ID, sample.Err)
+			sample.Sojourn, e.traceRTT, 0, rep.ID(), sample.Err)
 	}
-	rep.collector.Record(sample)
 	e.aggregate.Record(sample)
-	if e.autoscale {
-		e.tickMu.Lock()
-		e.tickBuf = append(e.tickBuf, completion{finish: time.Duration(done), sojourn: sample.Sojourn})
-		e.tickMu.Unlock()
-	}
 }
 
-// assembleLive builds the Result for a live run from the collectors and the
+// assemble builds the Result for a live run from the collectors and the
 // replica set's lifecycle ledger. end is the wall-clock offset at which the
 // last worker finished.
-func assembleLive(appName string, cfg Config, eng *liveEngine, loop *ControlLoop, end time.Duration) *Result {
-	agg := eng.aggregate.Summary()
+func (e *liveEngine) assemble(appName string, end time.Duration) *Result {
+	cfg := e.cfg
+	agg := e.aggregate.Summary()
 	elapsed := agg.Last.Sub(agg.First)
 	achieved := 0.0
 	if elapsed > 0 {
@@ -573,29 +342,7 @@ func assembleLive(appName string, cfg Config, eng *liveEngine, loop *ControlLoop
 	}
 	out.ThreadsPer = append([]int(nil), cfg.ThreadsPer...)
 	out.Trace = cfg.Trace.Report()
-	for _, rep := range eng.replicas {
-		rs := rep.collector.Summary()
-		// Per-replica throughput over the cluster-wide measurement interval,
-		// so the per-replica rates sum to the aggregate rate.
-		repAchieved := 0.0
-		if elapsed > 0 {
-			repAchieved = float64(rs.Count) / elapsed.Seconds()
-		}
-		out.PerReplica = append(out.PerReplica, replicaStats(rep.member, end, ReplicaStats{
-			Index:          rep.member.ID,
-			Threads:        cfg.threadsFor(rep.member.Slot),
-			Slowdown:       rep.slowdown,
-			Dispatched:     rep.dispatched,
-			Requests:       rs.Count,
-			Errors:         rs.Errors,
-			AchievedQPS:    repAchieved,
-			Queue:          rs.Queue,
-			Service:        rs.Service,
-			Sojourn:        rs.Sojourn,
-			MeanQueueDepth: rep.depth.Mean(),
-			MaxQueueDepth:  rep.depth.Max(),
-		}))
-	}
-	annotateElastic(out, loop, eng.set, end)
+	out.PerReplica = e.fleet.Rows(end, elapsed)
+	annotateElastic(out, e.fleet.Loop(), e.fleet.Set(), end)
 	return out
 }

@@ -77,14 +77,6 @@ func replicaStats(m *Member, end time.Duration, row ReplicaStats) ReplicaStats {
 	return row
 }
 
-// NewReplicaRow fills a per-replica row's lifecycle fields (slot, state,
-// lifetime span) from its membership record, exactly as both cluster engines
-// do; end closes the span of replicas still provisioned. Exported for
-// harnesses composed on top of the cluster machinery (the pipeline tiers).
-func NewReplicaRow(m *Member, end time.Duration, row ReplicaStats) ReplicaStats {
-	return replicaStats(m, end, row)
-}
-
 // Result is the outcome of one cluster measurement (live or simulated).
 type Result struct {
 	// App is the application name (or synthetic workload label).
@@ -197,10 +189,8 @@ func (r *Result) String() string {
 		r.Requests, r.Errors, r.Sojourn.String())
 }
 
-// DepthAccum tracks queue-depth observations at dispatch instants. It is
-// exported for harnesses composed on top of the cluster machinery (the
-// pipeline tiers) so per-replica depth accounting stays identical
-// everywhere.
+// DepthAccum tracks queue-depth observations at dispatch instants, the same
+// way on the live fleet and the virtual-time engine.
 type DepthAccum struct {
 	sum int64
 	n   int64

@@ -34,126 +34,113 @@ func Transports() []string {
 	return []string{TransportInProcess, TransportLoopback, TransportNetworked}
 }
 
-// transport abstracts the serving side of the live cluster engine: how a
-// replica's runtime is brought up when the member is provisioned, how the
-// dispatcher issues a request to it, which load signal the balancer sees for
-// it, and how everything is torn down once the dispatcher has issued its
-// last request. Completions re-enter the engine through liveEngine.complete
-// regardless of transport, so per-replica accounting, windowed collection,
-// and the autoscaler's tick buffer behave identically on every path.
-type transport interface {
+// transport abstracts the serving side of a Fleet: how a replica's runtime
+// is brought up when the member is provisioned, how a dispatched request
+// reaches it, which load signal the balancer sees for it, and how everything
+// is torn down once the last request has been issued. Completions re-enter
+// the engine through the fleet's completion callback regardless of
+// transport, so per-replica accounting, windowed collection, and the
+// autoscaler's tick buffer behave identically on every path. It is the only
+// transport seam in the tree: the cluster engine and every pipeline tier
+// reach their replicas through it.
+type transport[T any] interface {
 	// name returns the transport kind name.
 	name() string
 	// provision brings up the serving runtime for a newly provisioned
 	// member's replica (start its worker pool, or dial its connection
 	// pool). Errors are deferred to the next dispatch: the engine is
-	// mid-run and surfaces them through the dispatcher.
-	provision(rep *replica)
+	// mid-run and surfaces them through its dispatch path.
+	provision(rep *Replica[T])
 	// load returns the outstanding-count signal the balancer's candidate
 	// snapshot carries for the replica.
-	load(rep *replica) int
+	load(rep *Replica[T]) int
 	// dispatch issues one request to the replica. Blocking here is
 	// backpressure: sojourn time is measured from the scheduled arrival
 	// instant, so a stalled dispatcher shows up as latency.
-	dispatch(rep *replica, p clusterPending) error
+	dispatch(rep *Replica[T], p request[T]) error
 	// drain stops routing new work to the replica; work it has accepted
 	// still completes and the member retires when its outstanding count
 	// reaches zero.
-	drain(rep *replica)
-	// shutdown runs after the dispatcher's last request: it waits for
-	// in-flight work to finish (bounded by deadline) and tears the serving
-	// runtimes down. It returns an error when the deadline cut the drain
-	// short.
+	drain(rep *Replica[T])
+	// shutdown runs after the last dispatch: it waits for in-flight work to
+	// finish (bounded by deadline) and tears the serving runtimes down. It
+	// returns an error when a replica was lost or the deadline cut the
+	// drain short.
 	shutdown(deadline time.Time) error
 }
 
-// newTransport resolves a transport kind name for the engine.
-func newTransport(kind string, eng *liveEngine) (transport, error) {
-	switch kind {
+// newTransport resolves the fleet's transport kind name and brings the
+// transport up.
+func newTransport[T any](f *Fleet[T]) (transport[T], error) {
+	switch f.cfg.Transport {
 	case "", TransportInProcess:
-		return &inProcessTransport{eng: eng}, nil
+		return &inProcessTransport[T]{f: f}, nil
 	case TransportLoopback:
-		return newNetTransport(eng, 0)
+		return newNetTransport(f, 0)
 	case TransportNetworked:
-		delay := eng.cfg.NetDelay
+		delay := f.cfg.NetDelay
 		if delay <= 0 {
 			delay = DefaultNetDelay
 		}
-		return newNetTransport(eng, delay)
+		return newNetTransport(f, delay)
 	default:
-		return nil, fmt.Errorf("cluster: unknown transport %q (available: %v)", kind, Transports())
+		return nil, fmt.Errorf("cluster: unknown transport %q (available: %v)", f.cfg.Transport, Transports())
 	}
 }
 
 // inProcessTransport is the integrated path: each replica owns a bounded
-// queue drained by Threads worker goroutines in this process. It preserves
-// the pre-Transport engine's behavior exactly — same queue capacity, same
-// blocking send, same worker loop.
-type inProcessTransport struct {
-	eng *liveEngine
+// queue drained by its slot's worker goroutines in this process.
+type inProcessTransport[T any] struct {
+	f *Fleet[T]
 }
 
-func (t *inProcessTransport) name() string { return TransportInProcess }
+func (t *inProcessTransport[T]) name() string { return TransportInProcess }
 
-func (t *inProcessTransport) provision(rep *replica) {
-	rep.queue = make(chan clusterPending, t.eng.cfg.QueueCap)
-	for w := 0; w < t.eng.cfg.threadsFor(rep.member.Slot); w++ {
-		t.eng.workers.Add(1)
-		go func() {
-			defer t.eng.workers.Done()
-			t.eng.work(rep)
-		}()
+func (t *inProcessTransport[T]) provision(rep *Replica[T]) {
+	rep.queue = make(chan request[T], t.f.cfg.QueueCap)
+	for w := 0; w < t.f.cfg.threadsFor(rep.member.Slot); w++ {
+		t.f.workers.Add(1)
+		go t.f.work(rep)
 	}
 }
 
-func (t *inProcessTransport) load(rep *replica) int {
+func (t *inProcessTransport[T]) load(rep *Replica[T]) int {
 	return int(rep.outstanding.Load())
 }
 
-func (t *inProcessTransport) dispatch(rep *replica, p clusterPending) error {
+func (t *inProcessTransport[T]) dispatch(rep *Replica[T], p request[T]) error {
 	rep.queue <- p
 	return nil
 }
 
-// drain closes a draining member's queue: the dispatcher is the only sender
-// and has already removed the replica from the routable set, so its workers
-// finish the backlog and exit.
-func (t *inProcessTransport) drain(rep *replica) {
-	t.closeQueue(rep)
-}
-
-// closeQueue closes a replica's queue once; only the dispatcher goroutine
-// drives the transport, so a plain flag suffices.
-func (t *inProcessTransport) closeQueue(rep *replica) {
+// drain closes a draining member's queue once: the dispatch side is the only
+// sender and has already removed the replica from the routable set, so its
+// workers finish the backlog and exit. The fleet's caller serialises
+// dispatch, ticks and shutdown, so a plain flag suffices.
+func (t *inProcessTransport[T]) drain(rep *Replica[T]) {
 	if !rep.qClosed {
 		close(rep.queue)
 		rep.qClosed = true
 	}
 }
 
-func (t *inProcessTransport) shutdown(time.Time) error {
+func (t *inProcessTransport[T]) shutdown(time.Time) error {
 	// Close every queue not already closed by a drain (active replicas, and
 	// replicas still cold-starting at run end that never joined the
 	// routable set), then wait for the workers to finish the backlog.
-	for _, rep := range t.eng.replicas {
-		t.closeQueue(rep)
+	for _, rep := range t.f.replicas {
+		t.drain(rep)
 	}
-	t.eng.workers.Wait()
+	t.f.workers.Wait()
 	return nil
 }
 
-// SlowServer wraps an application server so every Process call's service
+// slowServer wraps an application server so every Process call's service
 // time is inflated by a constant factor, holding the caller (a NetServer
 // worker thread) — and therefore the replica's capacity — for the extra
-// duration. It is how the networked transports (cluster and pipeline alike)
-// realize per-slot straggler injection server-side, so the inflation shows
-// up in the server-measured ServiceNs exactly as the in-process worker's
-// sleep does.
-func SlowServer(inner app.Server, factor float64) app.Server {
-	return slowServer{inner: inner, factor: factor}
-}
-
-// slowServer is SlowServer's implementation.
+// duration. It is how the networked transports realize per-slot straggler
+// injection server-side, so the inflation shows up in the server-measured
+// ServiceNs exactly as the in-process worker's sleep does.
 type slowServer struct {
 	inner  app.Server
 	factor float64
@@ -168,6 +155,6 @@ func (s slowServer) Process(req app.Request) (app.Response, error) {
 	return resp, err
 }
 
-// Close is a no-op: the wrapped server is owned by the caller of Run, which
+// Close is a no-op: the wrapped server is owned by the fleet's caller, which
 // closes it directly.
 func (s slowServer) Close() error { return nil }

@@ -41,6 +41,7 @@ type ReplicaConn struct {
 	sentSince int64
 
 	onResponse func(msg *netproto.Message, at time.Time)
+	onLost     func(err error)
 	readers    sync.WaitGroup
 	closed     atomic.Bool
 }
@@ -59,10 +60,18 @@ type replicaConnHalf struct {
 // updated; it must not block for long (it is on the latency path of every
 // completion on that connection).
 func DialReplica(addr string, conns int, onResponse func(msg *netproto.Message, at time.Time)) (*ReplicaConn, error) {
+	return DialReplicaWatched(addr, conns, onResponse, nil)
+}
+
+// DialReplicaWatched is DialReplica with a loss report: onLost, when
+// non-nil, is invoked from the reader goroutine of every connection whose
+// read fails before Close was called — the replica died or the connection
+// broke, and responses still owed on it will never arrive.
+func DialReplicaWatched(addr string, conns int, onResponse func(msg *netproto.Message, at time.Time), onLost func(err error)) (*ReplicaConn, error) {
 	if conns <= 0 {
 		conns = 1
 	}
-	rc := &ReplicaConn{onResponse: onResponse}
+	rc := &ReplicaConn{onResponse: onResponse, onLost: onLost}
 	for i := 0; i < conns; i++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -77,12 +86,16 @@ func DialReplica(addr string, conns int, onResponse func(msg *netproto.Message, 
 	return rc, nil
 }
 
-// read consumes responses from one connection until it closes.
+// read consumes responses from one connection until it closes, reporting a
+// close the pool did not ask for.
 func (rc *ReplicaConn) read(half *replicaConnHalf) {
 	defer rc.readers.Done()
 	for {
 		msg, err := netproto.Read(half.conn)
 		if err != nil {
+			if rc.onLost != nil && !rc.closed.Load() {
+				rc.onLost(err)
+			}
 			return
 		}
 		if msg.Type != netproto.TypeResponse && msg.Type != netproto.TypeError {

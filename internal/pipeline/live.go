@@ -63,81 +63,42 @@ type liveNode struct {
 	maxChildDone atomic.Int64
 }
 
-// liveCompletion is one completion in a tier's control-tick buffer.
-type liveCompletion struct {
-	finish  time.Duration
-	sojourn time.Duration
+// liveTag is the pipeline's per-request tag through a tier's fleet: the
+// sub-request the copy belongs to, and whether it is the hedge duplicate.
+type liveTag struct {
+	node  *liveNode
+	hedge bool
 }
 
-// liveReplica is the runtime state of one live tier replica. The serving
-// runtime belongs to the tier's edge transport: the in-process edge uses the
-// bounded queue, the networked edges the connection pool and pending map.
-type liveReplica struct {
-	member   *cluster.Member
-	server   app.Server
-	slowdown float64
-	queue    chan livePending
-	closed   bool // queue closed (guarded by the tier mutex)
-
-	// pool, pending, and pendMu are the networked edges' runtime; dialErr
-	// records a failed mid-run connection dial.
-	pool    *core.ReplicaConn
-	pendMu  sync.Mutex
-	pending map[uint64]livePending
-	dialErr error
-
-	outstanding atomic.Int64
-	lastDone    atomic.Int64
-	dispatched  uint64             // guarded by the tier mutex
-	depth       cluster.DepthAccum // guarded by the tier mutex
-
-	collector *core.Collector
-}
-
-// livePending is one request flowing through a live replica's queue.
-type livePending struct {
-	node    *liveNode
-	payload app.Request
-	hedge   bool
-	enqueue time.Time
-}
-
-// liveTier is one tier of the live pipeline. Unlike the cluster engine's
-// single dispatcher goroutine, a tier's dispatches originate from many
-// goroutines (the root scheduler, upstream workers spawning fan-out,
-// hedge timers), so the balancer/membership state is guarded by a mutex;
-// lock order is strictly downstream (a worker of tier i only ever takes
-// tier i+1's mutex), so the chain cannot deadlock.
+// liveTier is one tier of the live pipeline: a cluster.Fleet plus what is
+// the pipeline's own — hedging, fan-out/fan-in, span trees. Unlike the
+// cluster engine's single dispatcher goroutine, a tier's dispatches
+// originate from many goroutines (the root scheduler, upstream workers
+// spawning fan-out, hedge timers), so the fleet's dispatch side is guarded
+// by a mutex; lock order is strictly downstream (a worker of tier i only
+// ever takes tier i+1's mutex), so the chain cannot deadlock.
 type liveTier struct {
 	idx int
 	cfg TierConfig
 	eng *liveEngine
 
-	// tr is the edge's transport; rttExtra is the synthetic round-trip
-	// charged to this tier's recorded sub-request latencies (zero except
-	// for networked edges).
-	tr       edgeTransport
+	// rttExtra is the synthetic round-trip charged to this tier's recorded
+	// sub-request latencies (zero except for networked edges).
 	rttExtra time.Duration
 
-	client     app.Client
 	payloads   []app.Request
 	payloadIdx atomic.Int64
 
-	mu       sync.Mutex
-	balancer cluster.Balancer
-	set      *cluster.ReplicaSet
-	replicas []*liveReplica // indexed by member ID
-	loop     *cluster.ControlLoop
-	// closing marks teardown (guarded by mu): once set, dispatch becomes a
-	// no-op, so a straggling hedge timer (or, after a timeout, an upstream
-	// worker spawning fan-out) can never send on a closed replica queue.
+	// mu serialises the fleet's Dispatch and Ticks.
+	mu    sync.Mutex
+	fleet *cluster.Fleet[liveTag]
+	// closing marks teardown (guarded by mu): once set, dispatch and the
+	// control ticker become no-ops, so a straggling hedge timer (or, after a
+	// timeout, an upstream worker spawning fan-out) can never reach a fleet
+	// that is shutting down.
 	closing bool
 
 	collector *core.Collector // tier-local logical sub-request samples
-	workers   sync.WaitGroup
-
-	tickMu  sync.Mutex
-	tickBuf []liveCompletion
 
 	hedgesIssued atomic.Uint64
 	hedgeWins    atomic.Uint64
@@ -220,11 +181,12 @@ func Run(cfg Config) (*Result, error) {
 	// Control tickers: one per autoscaled tier, mirroring the cluster
 	// engine's tick cadence on the wall clock.
 	for _, t := range eng.tiers {
-		if t.loop == nil {
+		loop := t.fleet.Loop()
+		if loop == nil {
 			continue
 		}
 		go func(t *liveTier) {
-			ticker := time.NewTicker(t.loop.Config().Interval)
+			ticker := time.NewTicker(loop.Config().Interval)
 			defer ticker.Stop()
 			for {
 				select {
@@ -232,7 +194,9 @@ func Run(cfg Config) (*Result, error) {
 					return
 				case <-ticker.C:
 					t.mu.Lock()
-					t.runTicksLocked(time.Since(eng.start))
+					if !t.closing {
+						t.fleet.Ticks(time.Since(eng.start))
+					}
 					t.mu.Unlock()
 				}
 			}
@@ -258,87 +222,78 @@ func Run(cfg Config) (*Result, error) {
 		timedOut = true
 	}
 	close(eng.stop)
-	eng.teardown()
+	lost := eng.teardown()
 	// Teardown drains in-flight work; if that resolved the last stragglers
 	// after all, the run is complete and the data is whole.
 	if timedOut && eng.remaining.Load() > 0 {
 		return nil, fmt.Errorf("%w (%d of %d roots unresolved after %v)", ErrTimedOut, eng.remaining.Load(), total, timeout)
+	}
+	if lost != nil {
+		return nil, lost
 	}
 	return assembleLive(cfg, eng, roots, arrivals, shape, mult), nil
 }
 
 // teardown stops the engine: mark every tier closing (turning further
 // dispatches — straggling hedge timers, or fan-out spawns of work still
-// draining after a timeout — into no-ops), close every still-open replica
-// queue so workers finish their backlog and exit, and retire draining
-// replicas at their true idle instants. It returns only once every worker
-// has exited, so the caller may safely close the tier servers afterwards.
-func (e *liveEngine) teardown() {
+// draining after a timeout — and control ticks into no-ops), then shut the
+// fleets down. It returns only once every worker has exited, so the caller
+// may safely close the tier servers afterwards, with the first error a
+// tier's transport reported (a lost replica, or responses still outstanding
+// after the grace period).
+func (e *liveEngine) teardown() error {
 	for _, t := range e.tiers {
 		t.mu.Lock()
 		t.closing = true
 		t.mu.Unlock()
 	}
-	// Shut down front-to-back: by the time tier i's transport has drained,
-	// tier i-1's has, so nothing upstream can still be feeding tier i (and
+	// Shut down front-to-back: by the time tier i's fleet has drained, tier
+	// i-1's has, so nothing upstream can still be feeding tier i (and
 	// post-closing dispatches no-op). In-process edges wait for their
 	// workers' backlog; networked edges drain in-flight responses within a
 	// bounded grace, then close their pools and servers.
+	var first error
 	for _, t := range e.tiers {
-		t.tr.shutdown(5 * time.Second)
-		t.mu.Lock()
-		for _, m := range t.set.Members() {
-			if m.State == cluster.StateDraining {
-				t.set.Retire(m.ID, time.Duration(t.replicas[m.ID].lastDone.Load()))
-			}
+		if err := t.fleet.Shutdown(time.Now().Add(5 * time.Second)); err != nil && first == nil {
+			first = fmt.Errorf("pipeline: tier %d (%s): %w", t.idx, t.cfg.Name, err)
 		}
-		t.mu.Unlock()
 	}
+	return first
 }
 
-// newLiveTier validates one tier's live configuration and builds its runtime:
-// balancer, membership set, control loop, payload pool, and the initial
-// replicas with their worker pools.
+// newLiveTier builds one tier's runtime: its fleet (which validates the
+// serving-side configuration), the tier collector, and the payload pool,
+// then brings the fleet up.
 func newLiveTier(eng *liveEngine, idx int, tc TierConfig, payloadCount int, cfg Config) (*liveTier, error) {
-	if len(tc.Servers) == 0 {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, cluster.ErrNoReplicas)
-	}
-	if tc.NewClient == nil {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, core.ErrNilClient)
-	}
-	if len(tc.Slowdowns) != 0 && len(tc.Slowdowns) != len(tc.Servers) {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, cluster.ErrSlowdownsLen)
-	}
-	if tc.Replicas > len(tc.Servers) {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w (%d > %d)", idx, tc.Name, cluster.ErrReplicaCount, tc.Replicas, len(tc.Servers))
+	fail := func(err error) (*liveTier, error) {
+		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, err)
 	}
 	if tc.Replicas <= 0 {
 		tc.Replicas = len(tc.Servers)
 	}
-	if tc.QueueCap <= 0 {
-		tc.QueueCap = 4096
-	}
 	seed := tierSeed(cfg.Seed, idx)
-	balancer, err := cluster.NewBalancer(tc.Policy, seed)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, err)
-	}
-	t := &liveTier{
-		idx:      idx,
-		cfg:      tc,
-		eng:      eng,
-		balancer: balancer,
-		set:      cluster.NewReplicaSet(len(tc.Servers)),
-	}
+	t := &liveTier{idx: idx, cfg: tc, eng: eng}
 	t.wireFloor.Store(math.MaxInt64)
-	if tc.Autoscale != nil {
-		t.loop, err = cluster.NewControlLoop(*tc.Autoscale, tc.Replicas, len(tc.Servers))
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, err)
-		}
+	var err error
+	t.fleet, err = cluster.NewFleet(tc.Servers, cluster.Config{
+		Policy:     tc.Policy,
+		Seed:       seed,
+		Threads:    tc.Threads,
+		ThreadsPer: tc.ThreadsPer,
+		Slowdowns:  tc.Slowdowns,
+		QueueCap:   tc.QueueCap,
+		Replicas:   tc.Replicas,
+		Autoscale:  tc.Autoscale,
+		Transport:  tc.Transport,
+		NetDelay:   tc.NetDelay,
+		Validate:   tc.Validate,
+		Metrics:    cfg.Metrics,
+	}, fmt.Sprintf("tier%d_replica", idx), t.complete)
+	if err != nil {
+		return fail(err)
 	}
-	if len(tc.ThreadsPer) != 0 && len(tc.ThreadsPer) != len(tc.Servers) {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, cluster.ErrThreadsPerLen)
+	if tc.NewClient == nil {
+		return fail(core.ErrNilClient)
 	}
 	if load.WindowEnabled(cfg.Window, cfg.Load) {
 		t.collector = core.NewWindowedCollector(false)
@@ -346,24 +301,21 @@ func newLiveTier(eng *liveEngine, idx int, tc TierConfig, payloadCount int, cfg 
 		t.collector = core.NewCollector(false)
 	}
 	t.collector.SetMetrics(cfg.Metrics, fmt.Sprintf("tier%d", idx))
-	t.client, err = tc.NewClient(workload.SplitSeed(seed, 1))
+	client, err := tc.NewClient(workload.SplitSeed(seed, 1))
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): creating client: %w", idx, tc.Name, err)
+		return fail(fmt.Errorf("creating client: %w", err))
 	}
 	// Pre-generate every original sub-request payload the tier can consume
 	// (hedge duplicates reuse their original's payload), so payload
 	// construction never sits on a latency path.
 	t.payloads = make([]app.Request, payloadCount)
 	for i := range t.payloads {
-		t.payloads[i] = t.client.NextRequest()
+		t.payloads[i] = client.NextRequest()
 	}
-	t.tr, t.rttExtra, err = newEdgeTransport(t)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: tier %d (%s): %w", idx, tc.Name, err)
+	if err := t.fleet.Serve(client); err != nil {
+		return fail(err)
 	}
-	for r := 0; r < tc.Replicas; r++ {
-		t.provisionLocked(t.set.Provision(0, 0))
-	}
+	t.rttExtra = t.fleet.RTT()
 	return t, nil
 }
 
@@ -372,82 +324,8 @@ func (t *liveTier) nextPayload() app.Request {
 	return t.payloads[t.payloadIdx.Add(1)-1]
 }
 
-// slowdownFor normalizes the slowdown factor of pool slot idx.
-func (t *liveTier) slowdownFor(idx int) float64 {
-	if idx >= len(t.cfg.Slowdowns) {
-		return 1
-	}
-	s := t.cfg.Slowdowns[idx]
-	if math.IsNaN(s) || math.IsInf(s, 0) || s < 1 {
-		return 1
-	}
-	return s
-}
-
-// provisionLocked builds the runtime replica for a newly provisioned member
-// and hands it to the edge transport, which brings up its serving runtime.
-// Callers hold the tier mutex (or run before any concurrency starts).
-func (t *liveTier) provisionLocked(m *cluster.Member) {
-	rep := &liveReplica{
-		member:    m,
-		server:    t.cfg.Servers[m.Slot],
-		slowdown:  t.slowdownFor(m.Slot),
-		collector: core.NewCollector(false),
-	}
-	t.replicas = append(t.replicas, rep)
-	t.tr.provision(rep)
-}
-
-// drainLocked stops feeding a draining (or cancelled cold-start) member:
-// dispatchers no longer route to it, so its accepted work finishes and it
-// retires once idle.
-func (t *liveTier) drainLocked(m *cluster.Member) {
-	t.tr.drain(t.replicas[m.ID])
-}
-
-// runTicksLocked fires every control tick due at or before now, mirroring
-// the cluster live engine. Callers hold the tier mutex.
-func (t *liveTier) runTicksLocked(now time.Duration) {
-	for t.loop.Due(now) {
-		at := t.loop.Begin()
-		t.set.ActivateDue(at)
-		for _, m := range t.set.Members() {
-			if m.State == cluster.StateDraining && t.replicas[m.ID].outstanding.Load() == 0 {
-				t.set.Retire(m.ID, time.Duration(t.replicas[m.ID].lastDone.Load()))
-			}
-		}
-		outstanding := 0
-		for _, id := range t.set.ActiveIDs() {
-			outstanding += int(t.replicas[id].outstanding.Load())
-		}
-		target := t.loop.Decide(cluster.Observe(at, t.set, outstanding, t.takeCompletions(at)))
-		t.loop.Apply(t.set, target, at, t.provisionLocked, t.drainLocked,
-			func(id int) int { return int(t.replicas[id].outstanding.Load()) })
-	}
-}
-
-// takeCompletions removes and returns the sojourns of buffered completions
-// that finished at or before the tick instant (see the cluster engine's
-// twin for why later ones are kept).
-func (t *liveTier) takeCompletions(at time.Duration) []time.Duration {
-	t.tickMu.Lock()
-	defer t.tickMu.Unlock()
-	var taken []time.Duration
-	kept := t.tickBuf[:0]
-	for _, c := range t.tickBuf {
-		if c.finish <= at {
-			taken = append(taken, c.sojourn)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	t.tickBuf = kept
-	return taken
-}
-
 // dispatch routes one sub-request copy (original or hedge duplicate) into
-// the tier: run due control ticks, snapshot the active replicas, let the
-// balancer pick, and enqueue. The enqueue happens under the tier mutex so a
+// the tier's fleet. The whole dispatch happens under the tier mutex so a
 // concurrent scale-down cannot close the chosen queue between pick and
 // send; a full queue blocks the dispatcher here, which is backpressure
 // propagating upstream (and, at tier 0, open-loop latency).
@@ -461,24 +339,6 @@ func (t *liveTier) dispatch(n *liveNode, payload app.Request, hedge bool) {
 		return
 	}
 	now := time.Since(t.eng.start)
-	if t.loop != nil {
-		t.runTicksLocked(now)
-		t.set.ActivateDue(now)
-	}
-	var candidates []cluster.Candidate
-	for _, id := range t.set.ActiveIDs() {
-		candidates = append(candidates, cluster.Candidate{ID: id, Outstanding: t.tr.load(t.replicas[id])})
-	}
-	pick := t.balancer.Pick(candidates)
-	rep := t.replicas[pick]
-	for _, c := range candidates {
-		if c.ID == pick {
-			rep.depth.Observe(c.Outstanding)
-			break
-		}
-	}
-	rep.dispatched++
-	rep.outstanding.Add(1)
 	if tree := n.root.tree; tree != nil && !hedge {
 		// The node's request span lives on the adjusted time axis: its start
 		// is the parent's synthetic-delay-adjusted completion, and a networked
@@ -502,11 +362,10 @@ func (t *liveTier) dispatch(n *liveNode, payload app.Request, hedge bool) {
 			t.dispatch(n, payload, true)
 		})
 	}
-	if err := t.tr.dispatch(rep, livePending{node: n, payload: payload, hedge: hedge, enqueue: time.Now()}); err != nil {
+	if err := t.fleet.Dispatch(now, payload, liveTag{node: n, hedge: hedge}); err != nil {
 		// A transport send failure means this copy will never complete. Fail
 		// the sub-request (unless the other copy already won) so the root
 		// resolves with its error flagged instead of hanging to the timeout.
-		rep.outstanding.Add(-1)
 		if n.settled.CompareAndSwap(false, true) {
 			n.root.err.Store(true)
 			if tree := n.root.tree; tree != nil {
@@ -561,67 +420,41 @@ func (t *liveTier) observeWire(wire time.Duration) {
 	}
 }
 
-// work drains one replica's queue on one worker goroutine (the in-process
-// edge's serving runtime): process, then hand the completion to the shared
-// engine path.
-func (t *liveTier) work(rep *liveReplica) {
-	defer t.workers.Done()
-	for p := range rep.queue {
-		start := time.Now()
-		resp, perr := rep.server.Process(p.payload)
-		if rep.slowdown > 1 {
-			// Straggler injection: hold the worker for the extra duration.
-			time.Sleep(time.Duration((rep.slowdown - 1) * float64(time.Since(start))))
-		}
-		end := time.Now()
-		failed := perr != nil
-		if !failed && t.cfg.Validate {
-			failed = t.client.CheckResponse(p.payload, resp) != nil
-		}
-		t.complete(rep, p, start.Sub(p.enqueue), end.Sub(start), failed, end)
-	}
-}
-
-// complete records one finished sub-request copy, whichever transport
-// carried it — record at the replica, settle the logical sub-request (first
-// copy wins), and fan out or fan in. It runs on worker goroutines
-// (in-process edges) or connection-pool readers (networked edges).
-func (t *liveTier) complete(rep *liveReplica, p livePending, queue, service time.Duration, failed bool, end time.Time) {
-	endOff := end.Sub(t.eng.start)
-	storeMax(&rep.lastDone, endOff.Nanoseconds())
+// complete is the fleet's completion callback for one finished sub-request
+// copy, whichever transport carried it — close it at the replica, settle the
+// logical sub-request (first copy wins), and fan out or fan in. It runs on
+// worker goroutines (in-process edges) or connection-pool readers (networked
+// edges).
+func (t *liveTier) complete(rep *cluster.Replica[liveTag], p liveTag, c cluster.Completion) {
+	endOff := c.End.Sub(t.eng.start)
+	enqueued := c.Enqueue.Sub(t.eng.start)
 	storeMax(&t.eng.lastDone, endOff.Nanoseconds())
 	// The copy's wire time is everything between enqueue and completion
 	// that was neither queue wait nor service — the transport cost the
 	// edge charges every copy, and the floor RTT-anchored hedge budgets
 	// build on.
-	t.observeWire(endOff - p.enqueue.Sub(t.eng.start) - queue - service)
+	t.observeWire(endOff - enqueued - c.Queue - c.Service)
 	n := p.node
 	sample := core.Sample{
-		Queue:   queue,
-		Service: service,
+		Queue:   c.Queue,
+		Service: c.Service,
 		Sojourn: endOff - n.dispatchAt + t.rttExtra,
 		Warmup:  n.root.warmup,
-		Err:     failed,
+		Err:     c.Failed,
 		Offset:  n.dispatchAt,
 	}
-	rep.outstanding.Add(-1)
 	// Every served copy counts at the replica (and toward the
 	// controller's completion window): redundant hedge work is real
 	// capacity spent.
-	rep.collector.Record(sample)
-	if t.loop != nil {
-		t.tickMu.Lock()
-		t.tickBuf = append(t.tickBuf, liveCompletion{finish: endOff, sojourn: sample.Sojourn})
-		t.tickMu.Unlock()
-	}
+	rep.Finish(sample, endOff)
 	tree := n.root.tree
 	if !n.settled.CompareAndSwap(false, true) {
 		// The other copy already won the race; the loser's capacity spend is
 		// still real, so its attempt joins the tree late (the one late
 		// addition trees accept).
 		if tree != nil {
-			tree.Attempt(n.span, rep.member.ID, p.enqueue.Sub(t.eng.start)+n.synth,
-				queue, service, endOff+n.synth, true, p.hedge, false, failed)
+			tree.Attempt(n.span, rep.ID(), enqueued+n.synth,
+				c.Queue, c.Service, endOff+n.synth, true, p.hedge, false, c.Failed)
 		}
 		return
 	}
@@ -635,13 +468,13 @@ func (t *liveTier) complete(rep *liveReplica, p livePending, queue, service time
 	if n.timer != nil && !n.timer.Stop() {
 		dupDispatched = true
 	}
-	if failed {
+	if c.Failed {
 		n.root.err.Store(true)
 	}
 	if tree != nil {
-		tree.Attempt(n.span, rep.member.ID, p.enqueue.Sub(t.eng.start)+n.synth,
-			queue, service, endOff+n.synth, dupDispatched, p.hedge, true, failed)
-		tree.Settle(n.span, rep.member.ID, failed)
+		tree.Attempt(n.span, rep.ID(), enqueued+n.synth,
+			c.Queue, c.Service, endOff+n.synth, dupDispatched, p.hedge, true, c.Failed)
+		tree.Settle(n.span, rep.ID(), c.Failed)
 	}
 	t.collector.Record(sample)
 	if !n.root.warmup {
@@ -747,7 +580,7 @@ func assembleLive(cfg Config, eng *liveEngine, roots []*liveRoot, arrivals []tim
 		out.Windows = core.WindowsFromTimed(timed, cfg.Window, shape)
 		// As in the simulated engine: the end-to-end windows carry the
 		// front-end tier's membership.
-		eng.tiers[0].set.AnnotateWindows(out.Windows, end)
+		eng.tiers[0].fleet.Set().AnnotateWindows(out.Windows, end)
 	}
 
 	for i, t := range eng.tiers {
@@ -759,7 +592,7 @@ func assembleLive(cfg Config, eng *liveEngine, roots []*liveRoot, arrivals []tim
 			Replicas:     t.cfg.Replicas,
 			Threads:      t.cfg.Threads,
 			FanOut:       t.cfg.FanOut,
-			Transport:    t.tr.name(),
+			Transport:    t.fleet.TransportName(),
 			NetDelay:     t.rttExtra / 2,
 			HedgeDelay:   t.cfg.HedgeDelay,
 			HedgesIssued: t.hedgesIssued.Load(),
@@ -779,28 +612,8 @@ func assembleLive(cfg Config, eng *liveEngine, roots []*liveRoot, arrivals []tim
 			}
 		}
 		tr.ThreadsPer = append([]int(nil), t.cfg.ThreadsPer...)
-		for _, rep := range t.replicas {
-			rs := rep.collector.Summary()
-			repAchieved := 0.0
-			if elapsed > 0 {
-				repAchieved = float64(rs.Count) / elapsed.Seconds()
-			}
-			tr.PerReplica = append(tr.PerReplica, cluster.NewReplicaRow(rep.member, end, cluster.ReplicaStats{
-				Index:          rep.member.ID,
-				Threads:        t.cfg.threadsFor(rep.member.Slot),
-				Slowdown:       rep.slowdown,
-				Dispatched:     rep.dispatched,
-				Requests:       rs.Count,
-				Errors:         rs.Errors,
-				AchievedQPS:    repAchieved,
-				Queue:          rs.Queue,
-				Service:        rs.Service,
-				Sojourn:        rs.Sojourn,
-				MeanQueueDepth: rep.depth.Mean(),
-				MaxQueueDepth:  rep.depth.Max(),
-			}))
-		}
-		annotateTier(&tr, t.loop, t.set, end)
+		tr.PerReplica = t.fleet.Rows(end, elapsed)
+		annotateTier(&tr, t.fleet.Loop(), t.fleet.Set(), end)
 		out.Tiers = append(out.Tiers, tr)
 	}
 	out.Trace = cfg.Trace.Report()

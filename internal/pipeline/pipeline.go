@@ -216,16 +216,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// threadsFor returns the worker thread count for live pool slot idx: the
-// slot's ThreadsPer entry when configured and positive, else the homogeneous
-// Threads.
-func (t TierConfig) threadsFor(idx int) int {
-	if idx < len(t.ThreadsPer) && t.ThreadsPer[idx] > 0 {
-		return t.ThreadsPer[idx]
-	}
-	return t.Threads
-}
-
 // tierSeed derives the seed stream for tier t. Tier 0 uses the run seed
 // directly so a single-tier pipeline draws the exact balancer and service
 // streams of the equivalent cluster run (the bit-compatibility guarantee);

@@ -1,6 +1,6 @@
 # Developer entry points. The go toolchain is the only dependency.
 
-.PHONY: test bench bench-check plan-baseline lint
+.PHONY: test bench bench-check plan-baseline lint loc
 
 test:
 	go build ./... && go test ./...
@@ -38,3 +38,25 @@ plan-baseline:
 	go run ./cmd/tailbench-plan -policies leastq,random -fanouts 1,4 -seed 42 \
 		-study -bench BENCH_planner.json
 	@cat BENCH_planner.json
+
+# loc prints the size of the tracked non-test Go source per group (the root
+# package, each top-level directory, each internal/<pkg>): raw lines, and
+# code lines (raw minus blank and comment-only lines). ROADMAP asks every
+# design PR to report its line delta; this is the one way to count it.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | awk ' \
+	{ n = split($$0, p, "/"); \
+	  g = n == 1 ? "(root)" : (p[1] == "internal" ? p[1] "/" p[2] : p[1] "/"); \
+	  block = 0; \
+	  while ((getline line < $$0) > 0) { \
+	    raw[g]++; \
+	    sub(/^[ \t]+/, "", line); \
+	    if (block) { if (line ~ /\*\//) block = 0; continue } \
+	    if (line == "" || line ~ /^\/\//) continue; \
+	    if (line ~ /^\/\*/) { if (line !~ /\*\//) block = 1; continue } \
+	    code[g]++ } \
+	  close($$0) } \
+	END { printf "%-20s %7s %7s\n", "group", "raw", "code"; \
+	  for (g in raw) { printf "%-20s %7d %7d\n", g, raw[g], code[g] | "sort"; tr += raw[g]; tc += code[g] } \
+	  close("sort"); \
+	  printf "%-20s %7d %7d\n", "total", tr, tc }'

@@ -8,6 +8,7 @@ import (
 
 	"tailbench/internal/app"
 	"tailbench/internal/cluster"
+	"tailbench/internal/core"
 )
 
 // BalancerPolicies returns the names of the built-in load-balancing
@@ -28,49 +29,20 @@ func ControllerPolicies() []string { return cluster.Controllers() }
 func DrainPolicies() []string { return cluster.DrainPolicies() }
 
 // AutoscaleSpec enables and parameterizes the replica autoscaling
-// controller of a cluster run. Each control interval the controller
-// observes per-replica queue depth and the interval's p95 sojourn and
-// returns a target active replica count; the harness provisions new
+// controller of a cluster run (the engines' own configuration type; see its
+// fields for the knobs and their defaults). Each control interval the
+// controller observes per-replica queue depth and the interval's p95 sojourn
+// and returns a target active replica count; the harness provisions new
 // replicas or drains existing ones (a draining replica finishes the work it
 // has accepted, then retires) to move toward it. The control loop is driven
-// identically in wall-clock time (integrated mode) and virtual time
-// (simulated mode), so controllers tuned in fast deterministic simulation
-// transfer unchanged to live runs.
-type AutoscaleSpec struct {
-	// Policy is the controller policy (see ControllerPolicies; default
-	// static).
-	Policy string
-	// MinReplicas and MaxReplicas bound the active replica count.
-	// Defaults: MinReplicas 1; MaxReplicas twice the initial Replicas (and
-	// never below it). MaxReplicas is also the provisioned server pool
-	// size in integrated mode — replicas beyond the initial count are
-	// pre-built warm standbys, so mid-run provisioning does not perturb
-	// dispatch timing.
-	MinReplicas int
-	MaxReplicas int
-	// Interval is the control-tick period (default 100ms — wall-clock for
-	// integrated runs, virtual time for simulated ones).
-	Interval time.Duration
-	// HighDepth and LowDepth are the threshold policy's hysteresis marks
-	// on mean outstanding requests per active replica (defaults 3 and
-	// 0.5): above HighDepth the controller scales up proportionally to the
-	// backlog, below LowDepth it drains one replica per tick.
-	HighDepth float64
-	LowDepth  float64
-	// TargetP95 is the target-p95 policy's goal for each control
-	// interval's p95 sojourn (default 10ms).
-	TargetP95 time.Duration
-	// ProvisionDelay is the cold-start latency of a scale-up: a replica the
-	// controller provisions mid-run holds its pool slot (and costs
-	// replica-seconds) immediately but turns routable only after the delay,
-	// identically on the wall clock and the virtual clock. Zero keeps the
-	// warm-pool behavior. The run's initial replicas always start active.
-	ProvisionDelay time.Duration
-	// DrainPolicy picks the scale-down victim: "youngest" (default),
-	// "oldest" (rolling refresh), or "least-loaded" (fewest outstanding
-	// requests). See DrainPolicies.
-	DrainPolicy string
-}
+// identically in wall-clock time (live modes) and virtual time (simulated
+// mode), so controllers tuned in fast deterministic simulation transfer
+// unchanged to live runs. On a ClusterSpec, MaxReplicas defaults to twice
+// the initial Replicas (and is never below it); it is also the provisioned
+// server pool size of a live run — replicas beyond the initial count are
+// pre-built warm standbys, so mid-run provisioning does not perturb dispatch
+// timing.
+type AutoscaleSpec = cluster.AutoscaleConfig
 
 // ClusterSpec describes one multi-replica measurement: N replica servers of
 // the same application behind a load balancer, driven by the same open-loop
@@ -169,48 +141,12 @@ type ClusterSpec struct {
 	Metrics *MetricsRegistry
 }
 
-// ReplicaResult is the per-replica breakdown of a cluster run: one row per
-// replica ever provisioned, including replicas drained and retired mid-run
-// by the autoscaling controller.
-type ReplicaResult struct {
-	// Index is the replica's stable ID (assigned in provisioning order and
-	// never reused within a run).
-	Index int
-	// Slot is the pool slot that backed the replica; slots are reused
-	// after retirement.
-	Slot int
-	// State is the replica's lifecycle state at the end of the run:
-	// "active", "draining", or "retired".
-	State string
-	// ProvisionedAt and RetiredAt bound the replica's lifetime as offsets
-	// from the start of the run (RetiredAt is zero for replicas still
-	// provisioned at the end); Lifetime is the provisioned span. ActiveAt
-	// is when the replica turned routable — after ProvisionedAt exactly
-	// when the autoscaler's cold-start ProvisionDelay was in effect.
-	ProvisionedAt time.Duration
-	ActiveAt      time.Duration `json:",omitempty"`
-	RetiredAt     time.Duration `json:",omitempty"`
-	Lifetime      time.Duration
-	// Threads is the replica's worker thread count (per-slot for
-	// heterogeneous clusters).
-	Threads    int `json:",omitempty"`
-	Slowdown   float64
-	Dispatched uint64
-	Requests   uint64
-	Errors     uint64
-	// AchievedQPS is the replica's measured completion rate over the
-	// cluster-wide measurement interval (per-replica rates sum to the
-	// aggregate rate).
-	AchievedQPS float64
-	Queue       LatencyStats
-	Service     LatencyStats
-	Sojourn     LatencyStats
-	// MeanQueueDepth is the mean number of outstanding requests observed at
-	// this replica at the instants requests were dispatched to it;
-	// MaxQueueDepth is the largest such observation.
-	MeanQueueDepth float64
-	MaxQueueDepth  int
-}
+// ReplicaResult is the per-replica breakdown of a cluster run or pipeline
+// tier: one row per replica ever provisioned, including replicas drained and
+// retired mid-run by the autoscaling controller. It is the engines' own row
+// type; see its fields for the lifecycle offsets, counters, latency
+// summaries, and dispatch-time queue-depth observations.
+type ReplicaResult = cluster.ReplicaStats
 
 // ClusterResult is the outcome of a cluster measurement.
 type ClusterResult struct {
@@ -270,13 +206,10 @@ type ClusterResult struct {
 	Trace *TraceReport `json:",omitempty"`
 }
 
-// ScalingEvent is one autoscaling decision that changed the active replica
-// count: at offset At, the active count moved From -> To.
-type ScalingEvent struct {
-	At   time.Duration
-	From int
-	To   int
-}
+// ScalingEvent is one autoscaling decision that changed the replica count:
+// at offset At, the target count (active plus cold-starting) moved From ->
+// To.
+type ScalingEvent = cluster.ScalingEvent
 
 // String renders a one-line summary.
 func (r *ClusterResult) String() string {
@@ -327,45 +260,25 @@ func (e ErrClusterMode) Error() string {
 	return fmt.Sprintf("tailbench: cluster runs support integrated, loopback, networked, and simulated modes, not %s", e.Mode)
 }
 
-// normalize fills ClusterSpec defaults.
+// normalize resolves the defaults the root package itself reads: the replica
+// count and dataset scale, and for an elastic spec the pool bound that sizes
+// the server pool and the Slowdowns/ThreadsPerReplica vectors. Every other
+// default (policy, threads, requests, warmup, seed, the controller's knobs)
+// is the engines'.
 func (s ClusterSpec) normalize() ClusterSpec {
-	if s.Policy == "" {
-		s.Policy = "leastq"
-	}
 	if s.Replicas <= 0 {
 		s.Replicas = 2
-	}
-	if s.Threads <= 0 {
-		s.Threads = 1
-	}
-	if s.Requests <= 0 {
-		s.Requests = 1000
 	}
 	if s.Scale <= 0 {
 		s.Scale = 1.0
 	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 	if s.Autoscale != nil {
-		// Resolve the policy name and pool bounds here so the server pool,
-		// the slowdown validation, the policy probe, and the internal
-		// engines all agree on them.
 		a := *s.Autoscale
-		if a.Policy == "" {
-			a.Policy = "static"
-		}
-		if a.MinReplicas <= 0 {
-			a.MinReplicas = 1
-		}
 		if a.MaxReplicas <= 0 {
 			a.MaxReplicas = 2 * s.Replicas
 		}
 		if a.MaxReplicas < s.Replicas {
 			a.MaxReplicas = s.Replicas
-		}
-		if a.MinReplicas > a.MaxReplicas {
-			a.MinReplicas = a.MaxReplicas
 		}
 		s.Autoscale = &a
 	}
@@ -388,151 +301,164 @@ func (s ClusterSpec) poolSize() int {
 // vectors without duplicating the defaulting rules.
 func (s ClusterSpec) ReplicaPool() int { return s.normalize().poolSize() }
 
-// autoscaleConfig converts the public sub-spec to the internal one.
-func (s ClusterSpec) autoscaleConfig() *cluster.AutoscaleConfig {
-	if s.Autoscale == nil {
-		return nil
+// validate checks a normalized spec once, at the API boundary and before any
+// (expensive) replica server is built, so RunCluster and every RunPipeline
+// tier reject bad input with the same message (the CLI surfaces it
+// verbatim). Slowdowns and ThreadsPerReplica must be as long as the replica
+// pool; a slowdown must be a finite factor >= 0 (below 1 means nominal
+// speed), while non-positive thread counts are legal and fall back to
+// Threads.
+func (s ClusterSpec) validate() error {
+	if s.Requests < 0 {
+		// Match the single-server Run: a negative request count is an error,
+		// not a request for the default.
+		return fmt.Errorf("tailbench: ClusterSpec.Requests must not be negative (got %d)", s.Requests)
 	}
-	return &cluster.AutoscaleConfig{
-		Policy:         s.Autoscale.Policy,
-		MinReplicas:    s.Autoscale.MinReplicas,
-		MaxReplicas:    s.Autoscale.MaxReplicas,
-		Interval:       s.Autoscale.Interval,
-		HighDepth:      s.Autoscale.HighDepth,
-		LowDepth:       s.Autoscale.LowDepth,
-		TargetP95:      s.Autoscale.TargetP95,
-		ProvisionDelay: s.Autoscale.ProvisionDelay,
-		DrainPolicy:    s.Autoscale.DrainPolicy,
+	if err := checkNetworkDelay("ClusterSpec", s.NetworkDelay); err != nil {
+		return err
+	}
+	if _, err := factoryFor(s.App); err != nil {
+		return err
+	}
+	pool, bound := s.poolSize(), "Replicas"
+	if s.Autoscale != nil {
+		bound = "the replica pool (Autoscale.MaxReplicas)"
+		// Probe the controller and drain policy names; the engines would
+		// catch them too, but only after the servers are up.
+		if _, err := cluster.NewControlLoop(*s.Autoscale, s.Replicas, pool); err != nil {
+			return err
+		}
+	}
+	if n := len(s.Slowdowns); n != 0 && n != pool {
+		return fmt.Errorf("tailbench: len(ClusterSpec.Slowdowns) = %d, must equal %s = %d", n, bound, pool)
+	}
+	for r, f := range s.Slowdowns {
+		if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+			return fmt.Errorf("tailbench: ClusterSpec.Slowdowns[%d] = %v, must be a finite factor >= 0", r, f)
+		}
+	}
+	if n := len(s.ThreadsPerReplica); n != 0 && n != pool {
+		return fmt.Errorf("tailbench: len(ThreadsPerReplica) = %d, must equal %s = %d", n, bound, pool)
+	}
+	return nil
+}
+
+// checkNetworkDelay rejects a negative synthetic network delay on the named
+// spec; zero keeps meaning "the 25µs default".
+func checkNetworkDelay(spec string, d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("tailbench: %s.NetworkDelay must not be negative (got %v)", spec, d)
+	}
+	return nil
+}
+
+// calibrate measures an application's uncontended service times for the
+// simulated paths; requests <= 0 means the default of 300.
+func calibrate(appName string, scale float64, seed int64, requests int) ([]time.Duration, error) {
+	if requests <= 0 {
+		requests = 300
+	}
+	samples, err := MeasureServiceTimes(appName, scale, seed, requests)
+	if err != nil {
+		return nil, fmt.Errorf("tailbench: calibrating %s: %w", appName, err)
+	}
+	return samples, nil
+}
+
+// simReplicas describes the replica pool for the virtual-time engines: every
+// slot resamples service times from the measured distribution, inflated by
+// the slot's slowdown and served by the slot's thread count.
+func (s ClusterSpec) simReplicas(samples []time.Duration) []cluster.SimReplica {
+	replicas := make([]cluster.SimReplica, s.poolSize())
+	for r := range replicas {
+		replicas[r].Service = cluster.EmpiricalService{Samples: samples}
+		if r < len(s.Slowdowns) {
+			replicas[r].Slowdown = s.Slowdowns[r]
+		}
+		if r < len(s.ThreadsPerReplica) {
+			replicas[r].Threads = s.ThreadsPerReplica[r]
+		}
+	}
+	return replicas
+}
+
+// buildServers builds the real replica server pool (the initial replicas
+// plus, when autoscaling, warm standbys up to MaxReplicas) and the payload
+// generator factory that goes with it; the caller closes the servers. Every
+// replica serves the same dataset: server and client datasets are
+// seed-derived, so replicas and the shared client must all be built from the
+// same config (mirroring the single-server path) or queries would target
+// data no replica holds.
+func (s ClusterSpec) buildServers() ([]app.Server, core.ClientFactory, error) {
+	f, err := factoryFor(s.App)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := app.Config{Threads: s.Threads, Scale: s.Scale, Seed: s.Seed}.Normalize()
+	servers := make([]app.Server, 0, s.poolSize())
+	for r := 0; r < s.poolSize(); r++ {
+		server, err := f.NewServer(cfg)
+		if err != nil {
+			closeServers(servers)
+			return nil, nil, fmt.Errorf("tailbench: building %s replica %d: %w", s.App, r, err)
+		}
+		servers = append(servers, server)
+	}
+	return servers, func(seed int64) (app.Client, error) { return f.NewClient(cfg, seed) }, nil
+}
+
+func closeServers(servers []app.Server) {
+	for _, s := range servers {
+		s.Close()
 	}
 }
 
 // RunCluster executes one cluster measurement according to the spec.
 func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
-	if spec.Requests < 0 {
-		// Match the single-server Run: a negative request count is an error,
-		// not a request for the default.
-		return nil, fmt.Errorf("tailbench: ClusterSpec.Requests must not be negative (got %d)", spec.Requests)
-	}
 	spec = spec.normalize()
-	f, err := factoryFor(spec.App)
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	if spec.Mode == ModeSimulated {
+		return runClusterSimulated(spec)
+	}
+	transport, ok := transportForMode(spec.Mode)
+	if !ok {
+		return nil, ErrClusterMode{Mode: spec.Mode}
+	}
+	return runClusterLive(spec, transport)
+}
+
+// runClusterLive drives the real replica server pool live over the given
+// transport: in-process queues for the integrated mode, per-replica
+// NetServers with client-side balancing for loopback/networked.
+func runClusterLive(spec ClusterSpec, transport string) (*ClusterResult, error) {
+	servers, newClient, err := spec.buildServers()
 	if err != nil {
 		return nil, err
 	}
-	if spec.Autoscale != nil {
-		// Reject unknown controller or drain policies before any (expensive)
-		// replica server is built; the engines would catch this too, but
-		// later. normalize has already resolved an empty policy to the
-		// default.
-		if _, err := cluster.NewControlLoop(*spec.autoscaleConfig(), spec.Replicas, spec.Autoscale.MaxReplicas); err != nil {
-			return nil, err
-		}
-	}
-	if err := validateSlowdowns(spec.Slowdowns, spec.poolSize(), spec.Autoscale != nil); err != nil {
-		return nil, err
-	}
-	if err := validateThreadsPer(spec.ThreadsPerReplica, spec.poolSize(), spec.Autoscale != nil); err != nil {
-		return nil, err
-	}
-	switch spec.Mode {
-	case ModeIntegrated:
-		return runClusterLive(spec, f, cluster.TransportInProcess)
-	case ModeLoopback:
-		return runClusterLive(spec, f, cluster.TransportLoopback)
-	case ModeNetworked:
-		return runClusterLive(spec, f, cluster.TransportNetworked)
-	case ModeSimulated:
-		return runClusterSimulated(spec)
-	default:
-		return nil, ErrClusterMode{Mode: spec.Mode}
-	}
-}
-
-// validateSlowdowns checks a straggler-injection vector once, at the API
-// boundary, so both the integrated and simulated paths reject bad input with
-// the same clear message (the CLI surfaces it verbatim): the vector must be
-// as long as the replica pool (Replicas for a fixed cluster, the
-// autoscaler's MaxReplicas for an elastic one), and every factor must be a
-// finite number >= 0 (factors below 1 mean nominal speed; negative service
-// time is meaningless).
-func validateSlowdowns(slowdowns []float64, pool int, elastic bool) error {
-	if len(slowdowns) != 0 && len(slowdowns) != pool {
-		bound := "Replicas"
-		if elastic {
-			bound = "the replica pool (Autoscale.MaxReplicas)"
-		}
-		return fmt.Errorf("tailbench: len(ClusterSpec.Slowdowns) = %d, must equal %s = %d",
-			len(slowdowns), bound, pool)
-	}
-	for r, s := range slowdowns {
-		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-			return fmt.Errorf("tailbench: ClusterSpec.Slowdowns[%d] = %v, must be a finite factor >= 0", r, s)
-		}
-	}
-	return nil
-}
-
-// validateThreadsPer checks a heterogeneous per-slot thread vector at the API
-// boundary with the same pool-length rule as Slowdowns (non-positive entries
-// are legal: they fall back to the homogeneous Threads).
-func validateThreadsPer(threadsPer []int, pool int, elastic bool) error {
-	if len(threadsPer) != 0 && len(threadsPer) != pool {
-		bound := "Replicas"
-		if elastic {
-			bound = "the replica pool (Autoscale.MaxReplicas)"
-		}
-		return fmt.Errorf("tailbench: len(ThreadsPerReplica) = %d, must equal %s = %d",
-			len(threadsPer), bound, pool)
-	}
-	return nil
-}
-
-// runClusterLive builds the real replica server pool (the initial replicas
-// plus, when autoscaling, warm standbys up to MaxReplicas) and drives it
-// live over the given transport: in-process queues for the integrated mode,
-// per-replica NetServers with client-side balancing for loopback/networked.
-func runClusterLive(spec ClusterSpec, f app.Factory, transport string) (*ClusterResult, error) {
-	pool := spec.poolSize()
-	servers := make([]app.Server, 0, pool)
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	// Every replica serves the same dataset: server and client datasets are
-	// seed-derived, so replicas and the shared client must all be built from
-	// the same config (mirroring the single-server path) or queries would
-	// target data no replica holds.
-	cfg := app.Config{Threads: spec.Threads, Scale: spec.Scale, Seed: spec.Seed}.Normalize()
-	for r := 0; r < pool; r++ {
-		server, err := f.NewServer(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tailbench: building %s replica %d: %w", spec.App, r, err)
-		}
-		servers = append(servers, server)
-	}
-	res, err := cluster.Run(spec.App, servers,
-		func(seed int64) (app.Client, error) { return f.NewClient(cfg, seed) },
-		cluster.Config{
-			Policy:         spec.Policy,
-			Threads:        spec.Threads,
-			ThreadsPer:     spec.ThreadsPerReplica,
-			QueueCap:       spec.QueueCap,
-			QPS:            spec.QPS,
-			Load:           spec.Load,
-			Window:         spec.Window,
-			Requests:       spec.Requests,
-			WarmupRequests: spec.Warmup,
-			Seed:           spec.Seed,
-			KeepRaw:        spec.KeepRaw,
-			Validate:       spec.Validate,
-			Slowdowns:      spec.Slowdowns,
-			Replicas:       spec.Replicas,
-			Autoscale:      spec.autoscaleConfig(),
-			Transport:      transport,
-			NetDelay:       spec.NetworkDelay,
-			Trace:          spec.Trace.recorder(),
-			Metrics:        spec.Metrics,
-		})
+	defer closeServers(servers)
+	res, err := cluster.Run(spec.App, servers, newClient, cluster.Config{
+		Policy:         spec.Policy,
+		Threads:        spec.Threads,
+		ThreadsPer:     spec.ThreadsPerReplica,
+		QueueCap:       spec.QueueCap,
+		QPS:            spec.QPS,
+		Load:           spec.Load,
+		Window:         spec.Window,
+		Requests:       spec.Requests,
+		WarmupRequests: spec.Warmup,
+		Seed:           spec.Seed,
+		KeepRaw:        spec.KeepRaw,
+		Validate:       spec.Validate,
+		Slowdowns:      spec.Slowdowns,
+		Replicas:       spec.Replicas,
+		Autoscale:      spec.Autoscale,
+		Transport:      transport,
+		NetDelay:       spec.NetworkDelay,
+		Trace:          spec.Trace.recorder(),
+		Metrics:        spec.Metrics,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -540,29 +466,15 @@ func runClusterLive(spec ClusterSpec, f app.Factory, transport string) (*Cluster
 }
 
 // runClusterSimulated calibrates the application's service-time distribution
-// from the real application once, then simulates the cluster in virtual
-// time, resampling service times from the measured distribution.
+// from the real application once (unless the spec supplies ServiceSamples),
+// then simulates the cluster in virtual time, resampling service times from
+// the measured distribution.
 func runClusterSimulated(spec ClusterSpec) (*ClusterResult, error) {
 	samples := spec.ServiceSamples
 	if len(samples) == 0 {
-		calReq := spec.CalibrationRequests
-		if calReq <= 0 {
-			calReq = 300
-		}
 		var err error
-		samples, err = MeasureServiceTimes(spec.App, spec.Scale, spec.Seed, calReq)
-		if err != nil {
-			return nil, fmt.Errorf("tailbench: calibrating %s: %w", spec.App, err)
-		}
-	}
-	replicas := make([]cluster.SimReplica, spec.poolSize())
-	for r := range replicas {
-		replicas[r] = cluster.SimReplica{Service: cluster.EmpiricalService{Samples: samples}}
-		if r < len(spec.Slowdowns) {
-			replicas[r].Slowdown = spec.Slowdowns[r]
-		}
-		if r < len(spec.ThreadsPerReplica) {
-			replicas[r].Threads = spec.ThreadsPerReplica[r]
+		if samples, err = calibrate(spec.App, spec.Scale, spec.Seed, spec.CalibrationRequests); err != nil {
+			return nil, err
 		}
 	}
 	res, err := cluster.Simulate(cluster.SimConfig{
@@ -576,9 +488,9 @@ func runClusterSimulated(spec ClusterSpec) (*ClusterResult, error) {
 		WarmupRequests:  spec.Warmup,
 		Seed:            spec.Seed,
 		KeepRaw:         spec.KeepRaw,
-		Replicas:        replicas,
+		Replicas:        spec.simReplicas(samples),
 		InitialReplicas: spec.Replicas,
-		Autoscale:       spec.autoscaleConfig(),
+		Autoscale:       spec.Autoscale,
 		Trace:           spec.Trace.recorder(),
 	})
 	if err != nil {
@@ -587,9 +499,10 @@ func runClusterSimulated(spec ClusterSpec) (*ClusterResult, error) {
 	return fromClusterResult(spec, res), nil
 }
 
-// fromClusterResult converts the internal cluster result to the public type.
+// fromClusterResult labels the engine's result with the run mode. The result
+// blocks are the engines' own types, so this is plain assignment.
 func fromClusterResult(spec ClusterSpec, res *cluster.Result) *ClusterResult {
-	out := &ClusterResult{
+	return &ClusterResult{
 		App:             res.App,
 		Mode:            spec.Mode,
 		Policy:          res.Policy,
@@ -602,12 +515,14 @@ func fromClusterResult(spec ClusterSpec, res *cluster.Result) *ClusterResult {
 		AchievedQPS:     res.AchievedQPS,
 		Requests:        res.Requests,
 		Errors:          res.Errors,
-		Queue:           fromSummary(res.Queue),
-		Service:         fromSummary(res.Service),
-		Sojourn:         fromSummary(res.Sojourn),
+		Queue:           res.Queue,
+		Service:         res.Service,
+		Sojourn:         res.Sojourn,
+		ServiceCDF:      res.ServiceCDF,
+		SojournCDF:      res.SojournCDF,
 		ServiceSamples:  res.ServiceSamples,
 		SojournSamples:  res.SojournSamples,
-		Windows:         fromWindowStats(res.Windows),
+		Windows:         res.Windows,
 		Elapsed:         res.Elapsed,
 		Controller:      res.Controller,
 		MinReplicas:     res.MinReplicas,
@@ -615,38 +530,8 @@ func fromClusterResult(spec ClusterSpec, res *cluster.Result) *ClusterResult {
 		ControlInterval: res.ControlInterval,
 		PeakReplicas:    res.PeakReplicas,
 		ReplicaSeconds:  res.ReplicaSeconds,
+		ScalingEvents:   res.ScalingEvents,
+		PerReplica:      res.PerReplica,
 		Trace:           res.Trace,
 	}
-	for _, ev := range res.ScalingEvents {
-		out.ScalingEvents = append(out.ScalingEvents, ScalingEvent{At: ev.At, From: ev.From, To: ev.To})
-	}
-	for _, p := range res.ServiceCDF {
-		out.ServiceCDF = append(out.ServiceCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	for _, p := range res.SojournCDF {
-		out.SojournCDF = append(out.SojournCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	for _, rs := range res.PerReplica {
-		out.PerReplica = append(out.PerReplica, ReplicaResult{
-			Index:          rs.Index,
-			Slot:           rs.Slot,
-			State:          rs.State,
-			ProvisionedAt:  rs.ProvisionedAt,
-			ActiveAt:       rs.ActiveAt,
-			RetiredAt:      rs.RetiredAt,
-			Lifetime:       rs.Lifetime,
-			Threads:        rs.Threads,
-			Slowdown:       rs.Slowdown,
-			Dispatched:     rs.Dispatched,
-			Requests:       rs.Requests,
-			Errors:         rs.Errors,
-			AchievedQPS:    rs.AchievedQPS,
-			Queue:          fromSummary(rs.Queue),
-			Service:        fromSummary(rs.Service),
-			Sojourn:        fromSummary(rs.Sojourn),
-			MeanQueueDepth: rs.MeanQueueDepth,
-			MaxQueueDepth:  rs.MaxQueueDepth,
-		})
-	}
-	return out
 }

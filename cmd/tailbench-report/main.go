@@ -8,6 +8,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,39 +64,66 @@ func main() {
 	}
 }
 
-// reportFromFile renders a saved JSON result. Pipeline results (identified
-// by their tier chain) get the per-tier rendering, cluster results
-// (identified by their per-replica breakdown) the full replica table, and
+// reportFromFile renders a saved JSON result: pipeline results get the
+// per-tier rendering, cluster results the full replica table, and
 // single-server results the aggregate summary.
 func reportFromFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	doc, err := decodeResult(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	switch res := doc.(type) {
+	case *tailbench.PipelineResult:
+		printPipelineReport(res)
+	case *tailbench.ClusterResult:
+		printClusterReport(res)
+	case *tailbench.Result:
+		printSingleReport(res)
+	}
+	return nil
+}
+
+// decodeResult identifies which of the three result documents data holds and
+// returns it as a *tailbench.PipelineResult (identified by its tier chain),
+// *tailbench.ClusterResult (by its per-replica breakdown), or
+// *tailbench.Result (by its application name). Every field of a result is
+// optional to encoding/json, so any JSON object decodes into all three; a
+// document that carries none of the identifying fields — {}, a
+// tailbench-grid -jsonl row, some other tool's output — is an error, not an
+// all-zero single-server report.
+func decodeResult(data []byte) (any, error) {
 	var pipe tailbench.PipelineResult
 	if err := json.Unmarshal(data, &pipe); err == nil && len(pipe.Tiers) > 0 {
-		printPipelineReport(&pipe)
-		return nil
+		return &pipe, nil
 	}
 	var cluster tailbench.ClusterResult
 	if err := json.Unmarshal(data, &cluster); err == nil && cluster.Policy != "" && len(cluster.PerReplica) > 0 {
-		printClusterReport(&cluster)
-		return nil
+		return &cluster, nil
 	}
 	var single tailbench.Result
 	if err := json.Unmarshal(data, &single); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
+		return nil, fmt.Errorf("parsing result: %w", err)
 	}
-	fmt.Println(single.String())
-	if single.Shape != "" && single.Shape != "constant" {
-		fmt.Printf("load shape: %s\n", single.ShapeSpec)
+	if single.App == "" {
+		return nil, errors.New("not a tailbench result: no Tiers (pipeline), no PerReplica (cluster), and no App (single-server run)")
 	}
-	if len(single.Windows) > 0 {
+	return &single, nil
+}
+
+func printSingleReport(res *tailbench.Result) {
+	fmt.Println(res.String())
+	if res.Shape != "" && res.Shape != "constant" {
+		fmt.Printf("load shape: %s\n", res.ShapeSpec)
+	}
+	if len(res.Windows) > 0 {
 		fmt.Println()
-		tailbench.WriteWindowTable(os.Stdout, single.Windows)
+		tailbench.WriteWindowTable(os.Stdout, res.Windows)
 	}
-	printAttribution(single.Trace)
-	return nil
+	printAttribution(res.Trace)
 }
 
 func printPipelineReport(res *tailbench.PipelineResult) {

@@ -289,6 +289,13 @@ func printWindows(windows []tailbench.WindowStats) {
 	tailbench.WriteWindowTable(os.Stdout, windows)
 }
 
+// printLatencyRow prints one latency stream of the aggregate summary.
+func printLatencyRow(name string, s tailbench.LatencyStats) {
+	fmt.Printf("%-8s mean=%-12v p50=%-12v p95=%-12v p99=%-12v max=%v\n",
+		name, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
+		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
+}
+
 func printResult(res *tailbench.Result) {
 	fmt.Printf("app         : %s\n", res.App)
 	fmt.Printf("mode        : %s\n", res.Mode)
@@ -299,14 +306,9 @@ func printResult(res *tailbench.Result) {
 	fmt.Printf("offered QPS : %.1f\n", res.OfferedQPS)
 	fmt.Printf("achieved QPS: %.1f\n", res.AchievedQPS)
 	fmt.Printf("requests    : %d (errors %d, runs %d)\n", res.Requests, res.Errors, res.Runs)
-	row := func(name string, s tailbench.LatencyStats) {
-		fmt.Printf("%-8s mean=%-12v p50=%-12v p95=%-12v p99=%-12v max=%v\n",
-			name, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-			s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-	}
-	row("queue", res.Queue)
-	row("service", res.Service)
-	row("sojourn", res.Sojourn)
+	printLatencyRow("queue", res.Queue)
+	printLatencyRow("service", res.Service)
+	printLatencyRow("sojourn", res.Sojourn)
 	if res.Runs > 1 {
 		fmt.Printf("p95 95%% CI  : ±%.2f%%\n", res.P95CIRelative*100)
 	}
@@ -735,14 +737,9 @@ func printClusterResult(res *tailbench.ClusterResult) {
 	fmt.Printf("offered QPS : %.1f\n", res.OfferedQPS)
 	fmt.Printf("achieved QPS: %.1f\n", res.AchievedQPS)
 	fmt.Printf("requests    : %d (errors %d)\n", res.Requests, res.Errors)
-	row := func(name string, s tailbench.LatencyStats) {
-		fmt.Printf("%-8s mean=%-12v p50=%-12v p95=%-12v p99=%-12v max=%v\n",
-			name, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-			s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-	}
-	row("queue", res.Queue)
-	row("service", res.Service)
-	row("sojourn", res.Sojourn)
+	printLatencyRow("queue", res.Queue)
+	printLatencyRow("service", res.Service)
+	printLatencyRow("sojourn", res.Sojourn)
 	printWindows(res.Windows)
 	fmt.Println()
 	res.WriteReplicaTable(os.Stdout)

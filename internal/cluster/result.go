@@ -10,7 +10,8 @@ import (
 
 // ReplicaStats is the per-replica breakdown of a cluster run: one row per
 // member the replica set ever provisioned, including replicas that were
-// drained and retired mid-run.
+// drained and retired mid-run. The public tailbench.ReplicaResult is this
+// type, so the field order and tags are the saved-JSON schema.
 type ReplicaStats struct {
 	// Index is the replica's stable ID (assigned in provisioning order,
 	// never reused within a run).
@@ -21,13 +22,6 @@ type ReplicaStats struct {
 	// State is the replica's lifecycle state at the end of the run
 	// ("active", "draining", or "retired").
 	State string
-	// Threads is the replica's worker thread count — per-slot in
-	// heterogeneous clusters (see Config.ThreadsPer), else the homogeneous
-	// count.
-	Threads int
-	// Slowdown is the service-time inflation factor the replica ran with
-	// (1.0 = nominal speed).
-	Slowdown float64
 	// ProvisionedAt and RetiredAt bound the replica's lifetime as offsets
 	// from the start of the run; RetiredAt is zero for replicas still
 	// provisioned when the run ended. Lifetime is the provisioned span
@@ -35,9 +29,16 @@ type ReplicaStats struct {
 	// the instant the replica became routable — later than ProvisionedAt
 	// exactly when a cold-start ProvisionDelay was configured.
 	ProvisionedAt time.Duration
-	ActiveAt      time.Duration
-	RetiredAt     time.Duration
+	ActiveAt      time.Duration `json:",omitempty"`
+	RetiredAt     time.Duration `json:",omitempty"`
 	Lifetime      time.Duration
+	// Threads is the replica's worker thread count — per-slot in
+	// heterogeneous clusters (see Config.ThreadsPer), else the homogeneous
+	// count.
+	Threads int `json:",omitempty"`
+	// Slowdown is the service-time inflation factor the replica ran with
+	// (1.0 = nominal speed).
+	Slowdown float64
 	// Dispatched counts every request routed to this replica, including
 	// warmup and failed requests.
 	Dispatched uint64

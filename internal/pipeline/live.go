@@ -593,7 +593,7 @@ func assembleLive(cfg Config, eng *liveEngine, roots []*liveRoot, arrivals []tim
 			Threads:      t.cfg.Threads,
 			FanOut:       t.cfg.FanOut,
 			Transport:    t.fleet.TransportName(),
-			NetDelay:     t.rttExtra / 2,
+			NetworkDelay: t.rttExtra / 2,
 			HedgeDelay:   t.cfg.HedgeDelay,
 			HedgesIssued: t.hedgesIssued.Load(),
 			HedgeWins:    t.hedgeWins.Load(),

@@ -12,7 +12,9 @@ import (
 // TierResult is the per-tier breakdown of a pipeline run: the tier's own
 // cluster accounting (latency components of the sub-requests it served,
 // windowed series, per-replica rows, elasticity ledger) plus the inbound
-// edge's fan-out/hedging ledger and the fan-in straggler view.
+// edge's fan-out/hedging ledger and the fan-in straggler view. The public
+// tailbench.TierResult is this type, so the field order and tags are the
+// saved-JSON schema.
 type TierResult struct {
 	// Name, App, Policy, Replicas, and Threads identify the tier.
 	Name     string
@@ -27,16 +29,16 @@ type TierResult struct {
 	FanOut int
 	// Transport names the edge's transport on the live path ("inprocess",
 	// "loopback", "networked"); empty on the virtual-time path, which
-	// models no network stack. NetDelay is the networked edge's one-way
+	// models no network stack. NetworkDelay is the networked edge's one-way
 	// synthetic delay.
-	Transport string
-	NetDelay  time.Duration
+	Transport    string        `json:",omitempty"`
+	NetworkDelay time.Duration `json:",omitempty"`
 	// HedgeDelay is the inbound edge's hedging budget (0 = no hedging);
 	// HedgesIssued counts duplicated sub-requests and HedgeWins how many of
 	// those duplicates beat their original (first-response-wins).
-	HedgeDelay   time.Duration
-	HedgesIssued uint64
-	HedgeWins    uint64
+	HedgeDelay   time.Duration `json:",omitempty"`
+	HedgesIssued uint64        `json:",omitempty"`
+	HedgeWins    uint64        `json:",omitempty"`
 	// OfferedQPS is the tier's nominal sub-request arrival rate: the root
 	// rate times the fan-out multiplier up the chain (hedge duplicates are
 	// extra, unplanned load and are not included).
@@ -59,15 +61,15 @@ type TierResult struct {
 	Critical stats.LatencySummary
 	// Windows is the tier's windowed series, binned by sub-request dispatch
 	// offset; present when windowed accounting is enabled.
-	Windows []stats.WindowStat
+	Windows []stats.WindowStat `json:",omitempty"`
 	// Controller fields and the cost ledger mirror cluster.Result.
-	Controller      string
-	MinReplicas     int
-	MaxReplicas     int
-	ControlInterval time.Duration
+	Controller      string        `json:",omitempty"`
+	MinReplicas     int           `json:",omitempty"`
+	MaxReplicas     int           `json:",omitempty"`
+	ControlInterval time.Duration `json:",omitempty"`
 	PeakReplicas    int
 	ReplicaSeconds  float64
-	ScalingEvents   []cluster.ScalingEvent
+	ScalingEvents   []cluster.ScalingEvent `json:",omitempty"`
 	// PerReplica is the tier's per-replica breakdown, indexed by stable
 	// replica ID.
 	PerReplica []cluster.ReplicaStats

@@ -92,8 +92,8 @@ func TestNetEdgePipeline(t *testing.T) {
 		if tier.Transport != cluster.TransportNetworked {
 			t.Errorf("tier %d transport = %q, want networked", i, tier.Transport)
 		}
-		if tier.NetDelay != delay {
-			t.Errorf("tier %d net delay = %v, want %v", i, tier.NetDelay, delay)
+		if tier.NetworkDelay != delay {
+			t.Errorf("tier %d net delay = %v, want %v", i, tier.NetworkDelay, delay)
 		}
 		// Each tier-local sub-request pays its own edge's RTT.
 		if tier.Sojourn.Min < 2*delay {

@@ -299,7 +299,10 @@ func CDFFromSorted(sorted []time.Duration) []CDFPoint {
 		if i+1 < len(sorted) && sorted[i+1] == v {
 			continue
 		}
-		pts = append(pts, CDFPoint{Value: v, Cumulative: float64(i+1) / n})
+		pts = append(pts, CDFPoint{
+			Value:      v,
+			Cumulative: float64(i+1) / n,
+		})
 	}
 	return pts
 }

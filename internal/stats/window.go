@@ -19,24 +19,29 @@ type TimedSample struct {
 	Err bool
 }
 
-// WindowStat summarizes one time window of a run.
+// WindowStat is one window of the time-windowed latency series. Windowed
+// accounting is what makes time-varying load measurable: a tail excursion
+// during a spike is visible per window where a whole-run percentile would
+// average it away. The public tailbench.WindowStats is this type, so the
+// field order and tags are the saved-JSON schema.
 type WindowStat struct {
 	// Start and End bound the window as offsets from the start of the run.
 	Start time.Duration
 	End   time.Duration
-	// Requests counts measured requests binned into the window; Errors
-	// counts failed ones (not included in Requests or the percentiles).
+	// Requests counts measured requests whose scheduled arrival fell in
+	// the window; Errors counts failed ones (not included in Requests or
+	// the percentiles).
 	Requests uint64
-	Errors   uint64
-	// OfferedQPS is the mean offered arrival rate over the window (filled
-	// by callers that know the load shape; zero otherwise).
+	Errors   uint64 `json:",omitempty"`
+	// OfferedQPS is the load shape's mean rate over the window (filled by
+	// callers that know the shape; zero otherwise).
 	OfferedQPS float64
 	// AchievedQPS is Requests divided by the window width.
 	AchievedQPS float64
 	// Replicas is the time-weighted mean provisioned replica count over the
-	// window (filled by elastic cluster harnesses that know the membership
-	// timeline; zero otherwise).
-	Replicas float64
+	// window — the scaling timeline of an elastic cluster run (a fixed
+	// cluster reports its constant count; single-server runs report zero).
+	Replicas float64 `json:",omitempty"`
 	// Mean, P50, P95, P99, and Max summarize the window's sojourn times.
 	Mean time.Duration
 	P50  time.Duration

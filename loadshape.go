@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tailbench/internal/load"
+	"tailbench/internal/stats"
 )
 
 // LoadShape is a pluggable arrival process: a time-varying offered-load
@@ -81,35 +82,13 @@ func TraceFile(path string, interval time.Duration) (LoadShape, error) {
 // built-in shape's Spec() round-trips through ParseLoadShape.
 func ParseLoadShape(spec string) (LoadShape, error) { return load.Parse(spec) }
 
-// WindowStats is one window of the time-windowed latency series. Windowed
-// accounting is what makes time-varying load measurable: a tail excursion
-// during a spike is visible per window where a whole-run percentile would
-// average it away.
-type WindowStats struct {
-	// Start and End bound the window as offsets from the start of the run.
-	Start time.Duration
-	End   time.Duration
-	// Requests counts measured requests whose scheduled arrival fell in
-	// the window; Errors counts failed ones.
-	Requests uint64
-	Errors   uint64 `json:",omitempty"`
-	// OfferedQPS is the load shape's mean rate over the window;
-	// AchievedQPS is the measured completion rate of the window's
-	// requests.
-	OfferedQPS  float64
-	AchievedQPS float64
-	// Replicas is the time-weighted mean provisioned replica count over
-	// the window — the scaling timeline of an elastic cluster run (a
-	// fixed cluster reports its constant count; single-server runs report
-	// zero).
-	Replicas float64 `json:",omitempty"`
-	// Mean, P50, P95, P99, and Max summarize the window's sojourn times.
-	Mean time.Duration
-	P50  time.Duration
-	P95  time.Duration
-	P99  time.Duration
-	Max  time.Duration
-}
+// WindowStats is one window of the time-windowed latency series: its bounds,
+// offered and achieved rates, mean provisioned replica count, and sojourn
+// percentiles. Windowed accounting is what makes time-varying load
+// measurable: a tail excursion during a spike is visible per window where a
+// whole-run percentile would average it away. It is the engines' own window
+// type, shared by every result block.
+type WindowStats = stats.WindowStat
 
 // WriteWindowTable renders a windowed latency series as an aligned text
 // table (one row per window: offered and achieved QPS, sojourn percentiles,

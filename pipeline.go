@@ -135,62 +135,13 @@ type PipelineSpec struct {
 	Metrics *MetricsRegistry
 }
 
-// TierResult is the per-tier breakdown of a pipeline run.
-type TierResult struct {
-	// Name, App, Policy, Replicas, and Threads identify the tier.
-	Name     string
-	App      string
-	Policy   string
-	Replicas int
-	Threads  int
-	// ThreadsPer echoes the tier's heterogeneous per-slot thread assignment
-	// when one was configured (live path).
-	ThreadsPer []int `json:",omitempty"`
-	// FanOut is the inbound edge's fan-out degree (1 for tier 0).
-	FanOut int
-	// Transport names the inbound edge's transport on the live path
-	// ("inprocess", "loopback", "networked"); empty for simulated runs.
-	// NetworkDelay is a networked edge's one-way synthetic delay.
-	Transport    string        `json:",omitempty"`
-	NetworkDelay time.Duration `json:",omitempty"`
-	// HedgeDelay is the inbound edge's hedging budget (0 = no hedging);
-	// HedgesIssued counts duplicated sub-requests and HedgeWins how many
-	// duplicates beat their original.
-	HedgeDelay   time.Duration `json:",omitempty"`
-	HedgesIssued uint64        `json:",omitempty"`
-	HedgeWins    uint64        `json:",omitempty"`
-	// OfferedQPS is the tier's nominal sub-request rate (root rate times
-	// the fan-out multiplier up the chain; hedge duplicates not included).
-	OfferedQPS float64
-	// Requests counts measured sub-requests; Errors counts failed ones.
-	Requests uint64
-	Errors   uint64
-	// Queue, Service, and Sojourn summarize tier-local sub-request latency
-	// (dispatch into the tier until first completed copy).
-	Queue   LatencyStats
-	Service LatencyStats
-	Sojourn LatencyStats
-	// Critical summarizes, per measured root, the slowest of the root's
-	// sub-requests at this tier — the straggler that actually gated the
-	// root. Critical.P99 over Sojourn.P99 is the edge's tail-amplification
-	// factor.
-	Critical LatencyStats
-	// Windows is the tier's windowed series, binned by sub-request dispatch
-	// offset.
-	Windows []WindowStats `json:",omitempty"`
-	// Controller fields and the provisioning cost ledger mirror
-	// ClusterResult.
-	Controller      string        `json:",omitempty"`
-	MinReplicas     int           `json:",omitempty"`
-	MaxReplicas     int           `json:",omitempty"`
-	ControlInterval time.Duration `json:",omitempty"`
-	PeakReplicas    int
-	ReplicaSeconds  float64
-	ScalingEvents   []ScalingEvent `json:",omitempty"`
-	// PerReplica is the tier's per-replica breakdown, indexed by stable
-	// replica ID.
-	PerReplica []ReplicaResult
-}
+// TierResult is the per-tier breakdown of a pipeline run: the tier's own
+// cluster accounting (tier-local sub-request latency, windowed series,
+// per-replica rows, provisioning cost ledger) plus the inbound edge's
+// transport, fan-out and hedging ledger, and the Critical summary of the
+// straggler that gated each root. It is the engines' own tier type; see its
+// fields for details.
+type TierResult = pipeline.TierResult
 
 // PipelineResult is the outcome of a pipeline measurement.
 type PipelineResult struct {
@@ -272,20 +223,17 @@ func normalizePipeline(spec PipelineSpec) (PipelineSpec, error) {
 	if spec.Requests < 0 {
 		return spec, fmt.Errorf("tailbench: PipelineSpec.Requests must not be negative (got %d)", spec.Requests)
 	}
+	if err := checkNetworkDelay("PipelineSpec", spec.NetworkDelay); err != nil {
+		return spec, err
+	}
 	if len(spec.Tiers) == 0 {
 		return spec, fmt.Errorf("tailbench: PipelineSpec.Tiers must name at least one tier")
-	}
-	if spec.Seed == 0 {
-		spec.Seed = 1
 	}
 	tiers := make([]TierSpec, len(spec.Tiers))
 	copy(tiers, spec.Tiers)
 	spec.Tiers = tiers
 	for i := range spec.Tiers {
 		t := &spec.Tiers[i]
-		if t.Name == "" {
-			t.Name = fmt.Sprintf("tier%d", i)
-		}
 		if i == 0 {
 			if t.FanOut > 1 {
 				return spec, fmt.Errorf("tailbench: tier 0 is fed by the root arrival process and cannot have FanOut %d", t.FanOut)
@@ -304,8 +252,8 @@ func normalizePipeline(spec PipelineSpec) (PipelineSpec, error) {
 			if _, ok := transportForMode(t.Edge.Mode); !ok {
 				return spec, fmt.Errorf("tailbench: tier %d Edge.Mode must be integrated, loopback, or networked (got %s)", i, t.Edge.Mode)
 			}
-			if t.Edge.NetworkDelay < 0 {
-				return spec, fmt.Errorf("tailbench: tier %d Edge.NetworkDelay must not be negative (got %v)", i, t.Edge.NetworkDelay)
+			if err := checkNetworkDelay(fmt.Sprintf("tier %d Edge", i), t.Edge.NetworkDelay); err != nil {
+				return spec, err
 			}
 			if spec.Mode == ModeSimulated && t.Edge.Mode != ModeIntegrated {
 				return spec, fmt.Errorf("tailbench: tier %d: %s tier edges are a live-path feature; the virtual-time model has no network stack", i, t.Edge.Mode)
@@ -313,18 +261,7 @@ func normalizePipeline(spec PipelineSpec) (PipelineSpec, error) {
 		}
 		t.Cluster.Seed = spec.Seed
 		t.Cluster = t.Cluster.normalize()
-		if _, err := factoryFor(t.Cluster.App); err != nil {
-			return spec, err
-		}
-		if t.Cluster.Autoscale != nil {
-			if _, err := cluster.NewControlLoop(*t.Cluster.autoscaleConfig(), t.Cluster.Replicas, t.Cluster.Autoscale.MaxReplicas); err != nil {
-				return spec, err
-			}
-		}
-		if err := validateSlowdowns(t.Cluster.Slowdowns, t.Cluster.poolSize(), t.Cluster.Autoscale != nil); err != nil {
-			return spec, err
-		}
-		if err := validateThreadsPer(t.Cluster.ThreadsPerReplica, t.Cluster.poolSize(), t.Cluster.Autoscale != nil); err != nil {
+		if err := t.Cluster.validate(); err != nil {
 			return spec, err
 		}
 	}
@@ -378,7 +315,7 @@ func (t TierSpec) tierConfig(defaultTransport string, defaultDelay time.Duration
 		FanOut:        t.FanOut,
 		HedgeDelay:    hedge,
 		HedgeRTTFloor: hedgeRTTFloor,
-		Autoscale:     cs.autoscaleConfig(),
+		Autoscale:     cs.Autoscale,
 		Transport:     transport,
 		NetDelay:      netDelay,
 	}
@@ -427,33 +364,17 @@ func runPipelineSimulated(spec PipelineSpec, cfg pipeline.Config) (*PipelineResu
 		cs := t.Cluster
 		samples := cs.ServiceSamples
 		if len(samples) == 0 {
-			calReq := cs.CalibrationRequests
-			if calReq <= 0 {
-				calReq = 300
-			}
-			key := calKey{app: cs.App, scale: cs.Scale, requests: calReq}
-			if cached, ok := calibrated[key]; ok {
-				samples = cached
-			} else {
+			key := calKey{app: cs.App, scale: cs.Scale, requests: cs.CalibrationRequests}
+			if samples = calibrated[key]; samples == nil {
 				var err error
-				samples, err = MeasureServiceTimes(cs.App, cs.Scale, spec.Seed, calReq)
-				if err != nil {
-					return nil, fmt.Errorf("tailbench: calibrating %s: %w", cs.App, err)
+				if samples, err = calibrate(cs.App, cs.Scale, cs.Seed, cs.CalibrationRequests); err != nil {
+					return nil, err
 				}
 				calibrated[key] = samples
 			}
 		}
 		tc := t.tierConfig(cluster.TransportInProcess, 0)
-		tc.SimReplicas = make([]cluster.SimReplica, cs.poolSize())
-		for r := range tc.SimReplicas {
-			tc.SimReplicas[r] = cluster.SimReplica{Service: cluster.EmpiricalService{Samples: samples}}
-			if r < len(cs.Slowdowns) {
-				tc.SimReplicas[r].Slowdown = cs.Slowdowns[r]
-			}
-			if r < len(cs.ThreadsPerReplica) {
-				tc.SimReplicas[r].Threads = cs.ThreadsPerReplica[r]
-			}
-		}
+		tc.SimReplicas = cs.simReplicas(samples)
 		cfg.Tiers = append(cfg.Tiers, tc)
 	}
 	res, err := pipeline.Simulate(cfg)
@@ -468,30 +389,17 @@ func runPipelineSimulated(spec PipelineSpec, cfg pipeline.Config) (*PipelineResu
 // by the run mode, overridden per tier by TierSpec.Edge.
 func runPipelineLive(spec PipelineSpec, cfg pipeline.Config, defaultTransport string) (*PipelineResult, error) {
 	var servers []app.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	for i, t := range spec.Tiers {
+	defer func() { closeServers(servers) }()
+	for _, t := range spec.Tiers {
 		cs := t.Cluster
-		f, err := factoryFor(cs.App)
+		pool, newClient, err := cs.buildServers()
 		if err != nil {
 			return nil, err
 		}
-		appCfg := app.Config{Threads: cs.Threads, Scale: cs.Scale, Seed: spec.Seed}.Normalize()
-		pool := make([]app.Server, 0, cs.poolSize())
-		for r := 0; r < cs.poolSize(); r++ {
-			server, err := f.NewServer(appCfg)
-			if err != nil {
-				return nil, fmt.Errorf("tailbench: building %s tier %d replica %d: %w", cs.App, i, r, err)
-			}
-			pool = append(pool, server)
-			servers = append(servers, server)
-		}
+		servers = append(servers, pool...)
 		tc := t.tierConfig(defaultTransport, spec.NetworkDelay)
 		tc.Servers = pool
-		tc.NewClient = func(seed int64) (app.Client, error) { return f.NewClient(appCfg, seed) }
+		tc.NewClient = newClient
 		tc.Validate = cs.Validate
 		tc.QueueCap = cs.QueueCap
 		tc.Slowdowns = cs.Slowdowns
@@ -504,10 +412,10 @@ func runPipelineLive(spec PipelineSpec, cfg pipeline.Config, defaultTransport st
 	return fromPipelineResult(spec, res), nil
 }
 
-// fromPipelineResult converts the internal pipeline result to the public
-// type.
+// fromPipelineResult labels the engine's result with the run mode. The
+// result blocks are the engines' own types, so this is plain assignment.
 func fromPipelineResult(spec PipelineSpec, res *pipeline.Result) *PipelineResult {
-	out := &PipelineResult{
+	return &PipelineResult{
 		Label:          res.Label,
 		Mode:           spec.Mode,
 		Shape:          res.Shape,
@@ -516,72 +424,14 @@ func fromPipelineResult(spec PipelineSpec, res *pipeline.Result) *PipelineResult
 		AchievedQPS:    res.AchievedQPS,
 		Requests:       res.Requests,
 		Errors:         res.Errors,
-		Sojourn:        fromSummary(res.Sojourn),
+		Sojourn:        res.Sojourn,
+		SojournCDF:     res.SojournCDF,
 		SojournSamples: res.SojournSamples,
-		Windows:        fromWindowStats(res.Windows),
+		Windows:        res.Windows,
 		Elapsed:        res.Elapsed,
+		Tiers:          res.Tiers,
 		Trace:          res.Trace,
 	}
-	for _, p := range res.SojournCDF {
-		out.SojournCDF = append(out.SojournCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	for _, tier := range res.Tiers {
-		tr := TierResult{
-			Name:            tier.Name,
-			App:             tier.App,
-			Policy:          tier.Policy,
-			Replicas:        tier.Replicas,
-			Threads:         tier.Threads,
-			ThreadsPer:      tier.ThreadsPer,
-			FanOut:          tier.FanOut,
-			Transport:       tier.Transport,
-			NetworkDelay:    tier.NetDelay,
-			HedgeDelay:      tier.HedgeDelay,
-			HedgesIssued:    tier.HedgesIssued,
-			HedgeWins:       tier.HedgeWins,
-			OfferedQPS:      tier.OfferedQPS,
-			Requests:        tier.Requests,
-			Errors:          tier.Errors,
-			Queue:           fromSummary(tier.Queue),
-			Service:         fromSummary(tier.Service),
-			Sojourn:         fromSummary(tier.Sojourn),
-			Critical:        fromSummary(tier.Critical),
-			Windows:         fromWindowStats(tier.Windows),
-			Controller:      tier.Controller,
-			MinReplicas:     tier.MinReplicas,
-			MaxReplicas:     tier.MaxReplicas,
-			ControlInterval: tier.ControlInterval,
-			PeakReplicas:    tier.PeakReplicas,
-			ReplicaSeconds:  tier.ReplicaSeconds,
-		}
-		for _, ev := range tier.ScalingEvents {
-			tr.ScalingEvents = append(tr.ScalingEvents, ScalingEvent{At: ev.At, From: ev.From, To: ev.To})
-		}
-		for _, rs := range tier.PerReplica {
-			tr.PerReplica = append(tr.PerReplica, ReplicaResult{
-				Index:          rs.Index,
-				Slot:           rs.Slot,
-				State:          rs.State,
-				ProvisionedAt:  rs.ProvisionedAt,
-				ActiveAt:       rs.ActiveAt,
-				RetiredAt:      rs.RetiredAt,
-				Lifetime:       rs.Lifetime,
-				Threads:        rs.Threads,
-				Slowdown:       rs.Slowdown,
-				Dispatched:     rs.Dispatched,
-				Requests:       rs.Requests,
-				Errors:         rs.Errors,
-				AchievedQPS:    rs.AchievedQPS,
-				Queue:          fromSummary(rs.Queue),
-				Service:        fromSummary(rs.Service),
-				Sojourn:        fromSummary(rs.Sojourn),
-				MeanQueueDepth: rs.MeanQueueDepth,
-				MaxQueueDepth:  rs.MaxQueueDepth,
-			})
-		}
-		out.Tiers = append(out.Tiers, tr)
-	}
-	return out
 }
 
 // PipelineTimedOut reports whether an integrated pipeline run failed

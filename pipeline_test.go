@@ -356,6 +356,8 @@ func TestRunPipelineValidation(t *testing.T) {
 	}{
 		{"no tiers", func(s *PipelineSpec) { s.Tiers = nil }, "at least one tier"},
 		{"negative requests", func(s *PipelineSpec) { s.Requests = -1 }, "must not be negative"},
+		{"negative network delay", func(s *PipelineSpec) { s.NetworkDelay = -time.Microsecond }, "PipelineSpec.NetworkDelay must not be negative (got -1µs)"},
+		{"negative edge delay", func(s *PipelineSpec) { s.Tiers[1].Edge = &EdgeSpec{NetworkDelay: -time.Microsecond} }, "tier 1 Edge.NetworkDelay must not be negative (got -1µs)"},
 		{"tier0 fanout", func(s *PipelineSpec) { s.Tiers[0].FanOut = 4 }, "root arrival process"},
 		{"tier0 hedge", func(s *PipelineSpec) { s.Tiers[0].Hedge = &HedgeSpec{Delay: time.Millisecond} }, "no inbound edge"},
 		{"bad hedge delay", func(s *PipelineSpec) { s.Tiers[1].Hedge = &HedgeSpec{} }, "Hedge.Delay must be positive"},
@@ -382,5 +384,44 @@ func TestRunPipelineValidation(t *testing.T) {
 	netSpec.Tiers[1].Edge = &EdgeSpec{Mode: ModeNetworked}
 	if _, err := RunPipeline(netSpec); err == nil || !strings.Contains(err.Error(), "live-path feature") {
 		t.Errorf("simulated networked edge: err = %v", err)
+	}
+}
+
+// TestTierValidationMatchesCluster pins that a ClusterSpec is validated once:
+// every rejection RunCluster makes, a RunPipeline whose only tier wraps the
+// same spec makes with the same message (a tier prefix would be allowed).
+func TestTierValidationMatchesCluster(t *testing.T) {
+	base := ClusterSpec{App: "masstree", Mode: ModeSimulated, Replicas: 2, Requests: 50,
+		ServiceSamples: syntheticServiceSamples(20, 1)}
+	cases := []struct {
+		name   string
+		mutate func(*ClusterSpec)
+		want   string
+	}{
+		{"short slowdowns", func(s *ClusterSpec) { s.Slowdowns = []float64{1} }, "must equal Replicas = 2"},
+		{"short elastic slowdowns", func(s *ClusterSpec) {
+			s.Autoscale = &AutoscaleSpec{Policy: "threshold", MaxReplicas: 4}
+			s.Slowdowns = []float64{1, 1}
+		}, "must equal the replica pool (Autoscale.MaxReplicas) = 4"},
+		{"NaN slowdown", func(s *ClusterSpec) { s.Slowdowns = []float64{1, math.NaN()} }, "Slowdowns[1]"},
+		{"short threads", func(s *ClusterSpec) { s.ThreadsPerReplica = []int{2} }, "len(ThreadsPerReplica) = 1"},
+		{"unknown controller", func(s *ClusterSpec) { s.Autoscale = &AutoscaleSpec{Policy: "bogus"} }, "controller policy"},
+		{"unknown drain policy", func(s *ClusterSpec) { s.Autoscale = &AutoscaleSpec{DrainPolicy: "bogus"} }, "drain policy"},
+		{"unknown app", func(s *ClusterSpec) { s.App = "nope" }, "unknown application"},
+		{"negative requests", func(s *ClusterSpec) { s.Requests = -1 }, "ClusterSpec.Requests must not be negative"},
+		{"negative network delay", func(s *ClusterSpec) { s.NetworkDelay = -time.Microsecond }, "ClusterSpec.NetworkDelay must not be negative (got -1µs)"},
+	}
+	for _, tc := range cases {
+		spec := base
+		tc.mutate(&spec)
+		_, cerr := RunCluster(spec)
+		if cerr == nil || !strings.Contains(cerr.Error(), tc.want) {
+			t.Errorf("%s: RunCluster err = %v, want substring %q", tc.name, cerr, tc.want)
+			continue
+		}
+		_, perr := RunPipeline(PipelineSpec{Mode: ModeSimulated, Tiers: []TierSpec{{Cluster: spec}}, QPS: 1000, Requests: 50})
+		if perr == nil || !strings.HasSuffix(perr.Error(), strings.TrimPrefix(cerr.Error(), "tailbench: ")) {
+			t.Errorf("%s: RunPipeline err = %v, want RunCluster's %q", tc.name, perr, cerr)
+		}
 	}
 }

@@ -1,30 +1,9 @@
 package sweep
 
 import (
-	"time"
-
-	"tailbench"
 	"tailbench/internal/sim"
-	"tailbench/internal/stats"
 	"tailbench/internal/workload"
 )
-
-// summarize converts raw samples into the public LatencyStats type.
-func summarize(samples []time.Duration) tailbench.LatencyStats {
-	s := stats.SummaryFromSamples(samples)
-	return tailbench.LatencyStats{
-		Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max, Min: s.Min,
-	}
-}
-
-// sampleCDF converts raw samples into the public CDF representation.
-func sampleCDF(samples []time.Duration) []tailbench.CDFPoint {
-	var out []tailbench.CDFPoint
-	for _, p := range stats.SampleCDF(samples) {
-		out = append(out, tailbench.CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	return out
-}
 
 // simRunParams builds the simulated-system run parameters for one sweep
 // point.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tailbench"
+	"tailbench/internal/stats"
 )
 
 // Options control the cost/fidelity trade-off of an experiment run.
@@ -105,16 +106,11 @@ func Calibrate(app string, opts Options) (*Calibration, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: calibrating %s: %w", app, err)
 	}
-	cdf := make([]tailbench.CDFPoint, 0, len(samples))
-	res := summarize(samples)
-	for _, p := range sampleCDF(samples) {
-		cdf = append(cdf, p)
-	}
 	return &Calibration{
 		App:            app,
 		ServiceSamples: samples,
-		ServiceCDF:     cdf,
-		Service:        res,
+		ServiceCDF:     stats.SampleCDF(samples),
+		Service:        stats.SummaryFromSamples(samples),
 		SaturationQPS:  tailbench.SaturationQPS(samples, 1),
 	}, nil
 }

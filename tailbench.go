@@ -209,26 +209,14 @@ type RunSpec struct {
 	Metrics *MetricsRegistry
 }
 
-// LatencyStats summarizes one latency stream.
-type LatencyStats struct {
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-	Min   time.Duration
-}
+// LatencyStats summarizes one latency stream (queue, service, or sojourn
+// time): the sample count, mean, p50/p95/p99, and extremes. It is the
+// engines' own summary type, shared by every result block.
+type LatencyStats = stats.LatencySummary
 
-func fromSummary(s stats.LatencySummary) LatencyStats {
-	return LatencyStats{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max, Min: s.Min}
-}
-
-// CDFPoint is one point of a cumulative latency distribution.
-type CDFPoint struct {
-	Value      time.Duration
-	Cumulative float64
-}
+// CDFPoint is one point of a cumulative latency distribution: the fraction
+// Cumulative of samples is at or below Value.
+type CDFPoint = stats.CDFPoint
 
 // Result is the outcome of a measurement run.
 type Result struct {
@@ -328,6 +316,9 @@ func Run(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkNetworkDelay("RunSpec", spec.NetworkDelay); err != nil {
+		return nil, err
+	}
 	if spec.Mode == ModeSimulated {
 		return runSimulated(spec, f)
 	}
@@ -357,7 +348,8 @@ func Run(spec RunSpec) (*Result, error) {
 	return out, nil
 }
 
-// fromCore converts an internal result to the public type.
+// fromCore labels the harness result with the run mode. The result blocks are
+// the engines' own types, so this is plain assignment.
 func fromCore(spec RunSpec, res *core.Result) *Result {
 	out := &Result{
 		App:            res.App,
@@ -369,48 +361,19 @@ func fromCore(spec RunSpec, res *core.Result) *Result {
 		Threads:        res.Threads,
 		Requests:       res.Requests,
 		Errors:         res.Errors,
-		Queue:          fromSummary(res.Queue),
-		Service:        fromSummary(res.Service),
-		Sojourn:        fromSummary(res.Sojourn),
+		Queue:          res.Queue,
+		Service:        res.Service,
+		Sojourn:        res.Sojourn,
+		ServiceCDF:     res.ServiceCDF,
+		SojournCDF:     res.SojournCDF,
 		ServiceSamples: res.ServiceSamples,
 		SojournSamples: res.SojournSamples,
+		Windows:        res.Windows,
 		Elapsed:        res.Elapsed,
 		Runs:           res.Runs,
 	}
 	if res.Runs > 1 {
 		out.P95CIRelative = res.P95CI.Relative()
-	}
-	for _, p := range res.ServiceCDF {
-		out.ServiceCDF = append(out.ServiceCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	for _, p := range res.SojournCDF {
-		out.SojournCDF = append(out.SojournCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	out.Windows = fromWindowStats(res.Windows)
-	return out
-}
-
-// fromWindowStats converts the internal windowed series to the public type.
-func fromWindowStats(ws []stats.WindowStat) []WindowStats {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]WindowStats, len(ws))
-	for i, w := range ws {
-		out[i] = WindowStats{
-			Start:       w.Start,
-			End:         w.End,
-			Requests:    w.Requests,
-			Errors:      w.Errors,
-			OfferedQPS:  w.OfferedQPS,
-			AchievedQPS: w.AchievedQPS,
-			Replicas:    w.Replicas,
-			Mean:        w.Mean,
-			P50:         w.P50,
-			P95:         w.P95,
-			P99:         w.P99,
-			Max:         w.Max,
-		}
 	}
 	return out
 }
@@ -462,13 +425,9 @@ func Calibrate(appName string, serviceTimes []time.Duration, perfError float64) 
 // model from the real application at low load, then run the discrete-event
 // simulation at the requested load.
 func runSimulated(spec RunSpec, f app.Factory) (*Result, error) {
-	calReq := spec.CalibrationRequests
-	if calReq <= 0 {
-		calReq = 300
-	}
-	samples, err := MeasureServiceTimes(spec.App, spec.Scale, spec.Seed, calReq)
+	samples, err := calibrate(spec.App, spec.Scale, spec.Seed, spec.CalibrationRequests)
 	if err != nil {
-		return nil, fmt.Errorf("tailbench: calibrating %s: %w", spec.App, err)
+		return nil, err
 	}
 	model, err := Calibrate(spec.App, samples, spec.PerfError)
 	if err != nil {
@@ -508,24 +467,20 @@ func runSimulated(spec RunSpec, f app.Factory) (*Result, error) {
 		ShapeSpec:   simRes.ShapeSpec,
 		OfferedQPS:  simRes.QPS,
 		AchievedQPS: simRes.QPS,
-		Windows:     fromWindowStats(simRes.Windows),
+		Windows:     simRes.Windows,
 		Threads:     threads,
 		Requests:    simRes.Sojourn.Count,
-		Queue:       fromSummary(simRes.Queue),
-		Service:     fromSummary(simRes.Service),
-		Sojourn:     fromSummary(simRes.Sojourn),
+		Queue:       simRes.Queue,
+		Service:     simRes.Service,
+		Sojourn:     simRes.Sojourn,
+		ServiceCDF:  stats.SampleCDF(simRes.ServiceSamples),
+		SojournCDF:  stats.SampleCDF(simRes.SojournSamples),
 		Runs:        1,
 		IdealMemory: spec.IdealMemory,
 	}
 	if spec.KeepRaw {
 		out.ServiceSamples = simRes.ServiceSamples
 		out.SojournSamples = simRes.SojournSamples
-	}
-	for _, p := range stats.SampleCDF(simRes.ServiceSamples) {
-		out.ServiceCDF = append(out.ServiceCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
-	}
-	for _, p := range stats.SampleCDF(simRes.SojournSamples) {
-		out.SojournCDF = append(out.SojournCDF, CDFPoint{Value: p.Value, Cumulative: p.Cumulative})
 	}
 	return out, nil
 }

@@ -33,6 +33,16 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeNetworkDelay: a negative synthetic delay is an error
+// on every spec, as it always was on a pipeline edge; it used to fall
+// through to the 25µs default.
+func TestRunRejectsNegativeNetworkDelay(t *testing.T) {
+	_, err := Run(RunSpec{App: "masstree", Mode: ModeNetworked, NetworkDelay: -time.Microsecond})
+	if err == nil || !strings.Contains(err.Error(), "RunSpec.NetworkDelay must not be negative (got -1µs)") {
+		t.Errorf("negative RunSpec.NetworkDelay: err = %v", err)
+	}
+}
+
 func TestRunUnknownApp(t *testing.T) {
 	_, err := Run(RunSpec{App: "no-such-app"})
 	var unknown ErrUnknownApp

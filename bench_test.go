@@ -3,7 +3,7 @@ package tailbench_test
 // Benchmark harness: one benchmark family per table/figure of the paper's
 // evaluation. Each benchmark regenerates the corresponding data series at a
 // reduced ("quick") fidelity so the whole suite completes in minutes; pass
-// -full via cmd/tailbench-sweep for full-fidelity reproductions. The
+// -full to `tailbench sweep` for full-fidelity reproductions. The
 // benchmarks report the headline latency metric of the figure (usually the
 // p95 sojourn latency in microseconds) through b.ReportMetric, so
 // `go test -bench . -benchmem` output doubles as a results table.
@@ -49,8 +49,8 @@ func appScale(app string) float64 {
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // BenchmarkTableI regenerates Table I (p95 latency at 20/50/70% load) for
-// two representative applications per iteration; run cmd/tailbench-sweep
-// -experiment table1 for all eight.
+// two representative applications per iteration; run `tailbench sweep
+// -experiment table1` for all eight.
 func BenchmarkTableI(b *testing.B) {
 	for _, app := range []string{"masstree", "specjbb"} {
 		b.Run(app, func(b *testing.B) {

@@ -225,11 +225,9 @@ func (r *ClusterResult) String() string {
 
 // WriteReplicaTable renders the per-replica breakdown as an aligned text
 // table (one row per replica: slowdown, dispatch count, achieved QPS, tail
-// latencies, queue depth). Both the tailbench CLI and tailbench-report use
-// it so the per-replica table renders identically in the live and replayed
-// views (the surrounding aggregate summaries differ by design: the live
-// view prints full queue/service/sojourn rows, the replay a compact
-// header).
+// latencies, queue depth). The tailbench CLI has one view of a cluster
+// result, with this table under the aggregate rows, for a live run and for
+// one replayed by report -input alike.
 func (r *ClusterResult) WriteReplicaTable(w io.Writer) {
 	// The thread column only appears for heterogeneous pools; homogeneous
 	// runs carry the count in the aggregate header.

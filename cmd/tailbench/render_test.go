@@ -11,11 +11,11 @@ import (
 	"tailbench/sweep"
 )
 
-// TestDecodeResult feeds -input's classifier one valid document of each
-// result kind (the root package's schema fixtures) and the inputs that are
-// JSON but not results: every field of a result is optional to
-// encoding/json, so {} and a tailbench-grid -jsonl row used to render as an
-// all-zero single-server run and exit 0.
+// TestDecodeResult feeds report -input's classifier one valid document of
+// each result kind (the root package's schema fixtures, the same files CI
+// renders with report -input) and the inputs that are JSON but not results:
+// every field of a result is optional to encoding/json, so {} and a grid
+// -jsonl row used to render as an all-zero single-server run and exit 0.
 func TestDecodeResult(t *testing.T) {
 	fixture := func(name string) []byte {
 		t.Helper()

@@ -1,17 +1,8 @@
-// Command tailbench-sweep regenerates the data series behind the paper's
-// tables and figures. Pick an experiment with -experiment; output is
-// tab-separated so it can be piped into a plotting tool.
-//
-// Examples:
-//
-//	tailbench-sweep -experiment table1
-//	tailbench-sweep -experiment fig3 -app xapian -full
-//	tailbench-sweep -experiment fig8 -app moses
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -20,13 +11,17 @@ import (
 	"tailbench/sweep"
 )
 
-func main() {
+// runSweep implements the sweep subcommand: it regenerates the data series
+// behind the paper's tables and figures. Output is tab-separated so it can be
+// piped into a plotting tool.
+func runSweep(args []string) {
+	fs := newFlagSet("sweep")
 	var (
-		experiment = flag.String("experiment", "table1", "one of: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, omission")
-		appName    = flag.String("app", "", "application (default: the apps the paper uses for that figure)")
-		full       = flag.Bool("full", false, "use full-fidelity options instead of quick ones")
+		experiment = fs.String("experiment", "table1", "one of: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, omission")
+		appName    = fs.String("app", "", "application (default: the apps the paper uses for that figure)")
+		full       = fs.Bool("full", false, "use full-fidelity options instead of quick ones")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	opts := sweep.Quick()
 	if *full {
@@ -46,32 +41,30 @@ func main() {
 	case "fig3":
 		err = runLoadCurves(apps, 1, opts)
 	case "fig4":
-		err = runThreadScaling(pick(apps, *appName, []string{"silo", "masstree", "xapian", "moses"}), opts)
+		err = runThreadScaling(pick(*appName, "silo", "masstree", "xapian", "moses"), opts)
 	case "fig5":
 		err = runConfigComparison(apps, 1, opts)
 	case "fig6":
-		err = runConfigComparison(pick(apps, *appName, []string{"shore", "img-dnn"}), 1, opts)
+		err = runConfigComparison(pick(*appName, "shore", "img-dnn"), 1, opts)
 	case "fig7":
-		err = runConfigComparison(pick(apps, *appName, []string{"specjbb", "masstree", "xapian", "img-dnn"}), 4, opts)
+		err = runConfigComparison(pick(*appName, "specjbb", "masstree", "xapian", "img-dnn"), 4, opts)
 	case "fig8":
-		err = runCaseStudy(pick(apps, *appName, []string{"moses", "silo"}), opts)
+		err = runCaseStudy(pick(*appName, "moses", "silo"), opts)
 	case "omission":
 		err = runOmission(apps, opts)
 	default:
 		err = fmt.Errorf("unknown experiment %q", *experiment)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tailbench-sweep:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 }
 
 // pick returns override if set, otherwise the paper's default app list.
-func pick(all []string, override string, defaults []string) []string {
+func pick(override string, defaults ...string) []string {
 	if override != "" {
 		return []string{override}
 	}
-	_ = all
 	return defaults
 }
 
@@ -108,11 +101,14 @@ func runFig2(apps []string, opts sweep.Options) error {
 func runLoadCurves(apps []string, threads int, opts sweep.Options) error {
 	fmt.Println("app\tthreads\tload\tqps\tmean_us\tp95_us\tp99_us")
 	for _, app := range apps {
-		curve, err := sweep.LatencyVsLoad(app, tailbench.ModeIntegrated, threads, opts)
+		c, err := sweep.LatencyVsLoad(app, tailbench.ModeIntegrated, threads, opts)
 		if err != nil {
 			return err
 		}
-		printCurve(curve)
+		for _, p := range c.Points {
+			fmt.Printf("%s\t%d\t%.2f\t%.1f\t%.1f\t%.1f\t%.1f\n",
+				c.App, c.Threads, p.Load, p.QPS, us(p.Mean), us(p.P95), us(p.P99))
+		}
 	}
 	return nil
 }
@@ -157,21 +153,28 @@ func runCaseStudy(apps []string, opts sweep.Options) error {
 		if err != nil {
 			return err
 		}
-		base := float64(cs.BaselineP95)
-		if base == 0 {
-			base = 1
-		}
-		series := map[string]*sweep.LoadCurve{
-			"M/G/1": cs.MG1, "M/G/4": cs.MG4, "IdealMem-1thr": cs.Ideal1, "IdealMem-4thr": cs.Ideal4,
-		}
-		for name, c := range series {
-			for _, p := range c.Points {
-				fmt.Printf("%s\t%s\t%.2f\t%.1f\t%.2f\n", app, name, p.Load,
-					p.QPS/float64(c.Threads), float64(p.P95)/base)
-			}
-		}
+		writeCaseStudy(os.Stdout, cs)
 	}
 	return nil
+}
+
+// writeCaseStudy writes one application's Fig. 8 rows: its four series in a
+// fixed order, each point's p95 normalized to the low-load baseline.
+func writeCaseStudy(w io.Writer, cs *sweep.CaseStudyResult) {
+	base := float64(cs.BaselineP95)
+	if base == 0 {
+		base = 1
+	}
+	series := []struct {
+		name  string
+		curve *sweep.LoadCurve
+	}{{"M/G/1", cs.MG1}, {"M/G/4", cs.MG4}, {"IdealMem-1thr", cs.Ideal1}, {"IdealMem-4thr", cs.Ideal4}}
+	for _, s := range series {
+		for _, p := range s.curve.Points {
+			fmt.Fprintf(w, "%s\t%s\t%.2f\t%.1f\t%.2f\n", cs.App, s.name, p.Load,
+				p.QPS/float64(s.curve.Threads), float64(p.P95)/base)
+		}
+	}
 }
 
 func runOmission(apps []string, opts sweep.Options) error {
@@ -184,13 +187,6 @@ func runOmission(apps []string, opts sweep.Options) error {
 		fmt.Printf("%s\t%.2f\t%.1f\t%.1f\t%.2fx\n", app, res.Load, us(res.OpenLoopP95), us(res.ClosedLoopP95), res.UnderestimateFactor)
 	}
 	return nil
-}
-
-func printCurve(c *sweep.LoadCurve) {
-	for _, p := range c.Points {
-		fmt.Printf("%s\t%d\t%.2f\t%.1f\t%.1f\t%.1f\t%.1f\n",
-			c.App, c.Threads, p.Load, p.QPS, us(p.Mean), us(p.P95), us(p.P99))
-	}
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tailbench/internal/queueing"
+	"tailbench/internal/trace"
 )
 
 // TestDispatchSteadyStateAllocFree pins the engine's core perf contract:
@@ -45,22 +46,54 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSimulateMarginalAllocs bounds the engine end to end: growing a run by
+// TestSimulateMarginalAllocs bounds the engine end to end. Growing a run by
 // 10000 requests must not grow the allocation count by more than ~1 per
 // 100 extra events, i.e. per-event cost is amortized into the fixed,
-// spec-sized setup (sample log, sorted copies, CDFs, result assembly).
+// spec-sized setup (sample log, sorted copies, CDFs, result assembly). And
+// BenchmarkSimCluster's own runs, plain and traced, must stay within 2% of
+// the allocations they had when the hot path was last tuned (111 and 257).
 func TestSimulateMarginalAllocs(t *testing.T) {
-	run := func(requests int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Simulate(benchSimConfig(requests, nil)); err != nil {
+	run := func(requests int, traced bool) float64 {
+		return minAllocs(func() {
+			var rec *trace.Recorder
+			if traced {
+				rec = trace.NewRecorder(8, 0)
+			}
+			if _, err := Simulate(benchSimConfig(requests, rec)); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, big := run(2000), run(12000)
+	small, big := run(2000, false), run(12000, false)
 	marginal := (big - small) / 10000
 	if marginal > 0.01 {
 		t.Fatalf("marginal cost %.4f allocs/request over +10000 requests (%.0f -> %.0f), want <= 0.01",
 			marginal, small, big)
 	}
+	if raceEnabled {
+		return
+	}
+	for _, c := range []struct {
+		traced bool
+		bound  float64
+	}{{false, 113}, {true, 262}} {
+		if got := run(20000, c.traced); got > c.bound {
+			t.Errorf("BenchmarkSimCluster (traced=%v) allocates %.0f, want <= %.0f", c.traced, got, c.bound)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// minAllocs is the fewest allocations any of three testing.AllocsPerRun
+// passes measured for f. AllocsPerRun counts the whole process, so one
+// pass can pick up a runtime or test-framework allocation; the minimum
+// cannot.
+func minAllocs(f func()) float64 {
+	least := testing.AllocsPerRun(1, f)
+	for range 2 {
+		least = min(least, testing.AllocsPerRun(1, f))
+	}
+	return least
 }

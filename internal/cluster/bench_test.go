@@ -31,8 +31,9 @@ func benchSimConfig(requests int, rec *trace.Recorder) SimConfig {
 // BenchmarkSimCluster measures the virtual-time cluster engine's event
 // throughput: each request is one dispatch event plus one completion event,
 // reported as events/s. The traced variant bounds the tracing overhead
-// against the plain hot path; `make bench` commits both series to
-// BENCH_sim.json so the perf trajectory is reviewable PR-over-PR.
+// against the plain hot path. TestSimulateMarginalAllocs pins the
+// allocations of both variants; bench/'s sim-cluster workload tracks the
+// throughput.
 func BenchmarkSimCluster(b *testing.B) {
 	const requests = 20000
 	run := func(b *testing.B, traced bool) {

@@ -36,8 +36,9 @@ func benchPipelineConfig(requests int, rec *trace.Recorder) Config {
 // BenchmarkPipelineSim measures the multi-tier event queue's throughput:
 // each root contributes one front-end event pair plus fanout shard event
 // pairs (hedge duplicates excluded — they vary in count), reported as
-// events/s. The traced variant bounds the tracing overhead; `make bench`
-// commits both series to BENCH_sim.json.
+// events/s. The traced variant bounds the tracing overhead.
+// TestSimulateMarginalAllocs pins the allocations of both variants; bench/'s
+// sim-pipeline workload tracks the throughput.
 func BenchmarkPipelineSim(b *testing.B) {
 	const requests = 5000
 	run := func(b *testing.B, traced bool) {

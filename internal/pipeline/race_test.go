@@ -1,0 +1,7 @@
+//go:build race
+
+package pipeline
+
+// The race detector's instrumentation allocates on its own, so the absolute
+// allocation bounds in TestSimulateMarginalAllocs hold only without it.
+func init() { raceEnabled = true }

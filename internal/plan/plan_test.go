@@ -78,8 +78,10 @@ func TestPlannerMatchesExhaustive(t *testing.T) {
 }
 
 // TestPlannerEventsReduction is the headline acceptance criterion: on the
-// pinned demo space the adaptive planner finds the exact optimum of the
-// exhaustive grid while simulating at least 10x fewer events.
+// pinned demo space (`tailbench plan -policies leastq,random -fanouts 1,4
+// -seed 42`) the adaptive planner finds the exact optimum of the exhaustive
+// grid while simulating at least 10x fewer events, and each -study stage
+// simulates exactly its pinned event count.
 func TestPlannerEventsReduction(t *testing.T) {
 	adaptive, err := Run(planTestConfig(42, 4))
 	if err != nil {
@@ -116,6 +118,34 @@ func TestPlannerEventsReduction(t *testing.T) {
 	}
 	if s.CellsRun+s.CellsPruned > s.CellsTotal {
 		t.Errorf("trace does not add up: %+v", s)
+	}
+
+	// The events each stage of `tailbench plan -study` simulates on this
+	// space are deterministic, so they are pinned exactly: a count that
+	// grows means the search got less effective, one that shrinks means it
+	// changed and these numbers (and README's study table) need refreshing.
+	abort, err := Exhaustive(planTestConfig(42, 4))
+	if err != nil {
+		t.Fatalf("Exhaustive with abort: %v", err)
+	}
+	nomemo := planTestConfig(42, 4)
+	nomemo.DisableMemo = true
+	adaptiveNoMemo, err := Run(nomemo)
+	if err != nil {
+		t.Fatalf("Run without memo: %v", err)
+	}
+	for _, stage := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"exhaustive", exhaustive.Stats.EventsSimulated, 84480},
+		{"exhaustive-abort", abort.Stats.EventsSimulated, 72213},
+		{"adaptive-nomemo", adaptiveNoMemo.Stats.EventsSimulated, 4402},
+		{"adaptive", adaptive.Stats.EventsSimulated, 3522},
+	} {
+		if stage.got != stage.want {
+			t.Errorf("stage %s simulated %d events, pinned at %d", stage.name, stage.got, stage.want)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func (k Kind) String() string {
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // UnmarshalText decodes a kind name, so saved results round-trip through
-// tailbench-report -input.
+// `tailbench report -input`.
 func (k *Kind) UnmarshalText(text []byte) error {
 	for c := KindRoot; c <= KindHedge; c++ {
 		if c.String() == string(text) {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// TestResultJSONRoundTrip pins the contract tailbench-report -input depends
-// on: a Result written as JSON must unmarshal back identically, including
+// TestResultJSONRoundTrip pins the contract `tailbench report -input`
+// depends on: a Result written as JSON must unmarshal back identically, including
 // the named Mode and the named shape fields.
 func TestResultJSONRoundTrip(t *testing.T) {
 	in := Result{
@@ -148,8 +148,8 @@ func TestFixedClusterResultJSONOmitsElasticFields(t *testing.T) {
 	}
 }
 
-// TestPipelineResultJSONRoundTrip pins the contract tailbench-report -input
-// depends on for pipeline runs: a PipelineResult written as JSON must
+// TestPipelineResultJSONRoundTrip pins the contract `tailbench report
+// -input` depends on for pipeline runs: a PipelineResult written as JSON must
 // unmarshal back identically, per-tier fields included.
 func TestPipelineResultJSONRoundTrip(t *testing.T) {
 	in := PipelineResult{

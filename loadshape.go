@@ -92,9 +92,8 @@ type WindowStats = stats.WindowStat
 
 // WriteWindowTable renders a windowed latency series as an aligned text
 // table (one row per window: offered and achieved QPS, sojourn percentiles,
-// request count). Both the tailbench CLI and tailbench-report use it so the
-// live and replayed views render identically. A nil or empty series writes
-// nothing.
+// request count). The tailbench CLI prints it in every result's view, live
+// or replayed by report -input. A nil or empty series writes nothing.
 func WriteWindowTable(w io.Writer, windows []WindowStats) {
 	if len(windows) == 0 {
 		return

@@ -187,8 +187,9 @@ func (r *PipelineResult) String() string {
 
 // WriteTierTable renders the per-tier breakdown as an aligned text table
 // (one row per tier: fan-out, offered load, tier-local and critical-path
-// tails, hedging ledger). Both the tailbench CLI and tailbench-report use
-// it so the live and replayed views render identically.
+// tails, hedging ledger). The tailbench CLI has one view of a pipeline
+// result, with this table in it, for a live run and for one replayed by
+// report -input alike.
 func (r *PipelineResult) WriteTierTable(w io.Writer) {
 	fmt.Fprintf(w, "%-10s %-10s %-10s %-6s %-10s %-12s %-12s %-12s %-10s %s\n",
 		"tier", "app", "edge", "fanout", "offered", "p95", "p99", "crit_p99", "hedges", "hedge_wins")

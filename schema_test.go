@@ -67,8 +67,8 @@ func fillDistinct(v reflect.Value, next *int64) {
 // 23c8fc3, before the result blocks became aliases of the engines' types;
 // saved result files in the wild have that shape, so a diff here is a
 // breaking schema change, not a refactoring detail. Each fixture must also
-// survive unmarshal and re-marshal unchanged, which is what tailbench-report
-// -input relies on.
+// survive unmarshal and re-marshal unchanged, which is what `tailbench
+// report -input` relies on.
 func TestResultSchemaFixtures(t *testing.T) {
 	docs := []struct {
 		name string

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -153,6 +154,11 @@ func TestGridMarginalAllocs(t *testing.T) {
 // RunCell calls on a warm arena skip the per-cell sample derivation and
 // pool construction, so they allocate strictly less than arena-less calls.
 // The warm path must also stay flat — re-running must not regrow anything.
+// Each arm is the minimum over ten single-run AllocsPerRun passes.
+// AllocsPerRun counts the whole process, so a run can pick up stray runtime
+// allocations: under -race about 4 runs in 10 read 3-5 above the floor, so
+// an average over several runs is rarely clean (this test used to flake at
+// "234 then 236"), while the minimum of ten single runs is the floor.
 func TestRunCellArenaReuse(t *testing.T) {
 	cfg := GridConfig{
 		Axes:     GridAxes{Policies: []string{"leastq"}, FanOuts: []int{4}},
@@ -163,11 +169,15 @@ func TestRunCellArenaReuse(t *testing.T) {
 	cell := enumerate(cfg.normalize())[0]
 	arena := NewCellArena(cfg)
 	run := func(a *CellArena) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := RunCell(cfg, cell, CellLimits{}, a); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for range 10 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				if _, err := RunCell(cfg, cell, CellLimits{}, a); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
 	warm1 := run(arena)
 	warm2 := run(arena)

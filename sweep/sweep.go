@@ -1,6 +1,6 @@
 // Package sweep contains the experiment drivers that regenerate every table
 // and figure of the paper's evaluation (Secs. III, V, VI, and VII). Each
-// driver returns plain data structures; cmd/tailbench-sweep and the
+// driver returns plain data structures; `tailbench sweep` and the
 // repository-level benchmarks print them as the rows/series the paper
 // reports. DESIGN.md Sec. 3 maps experiments to drivers.
 package sweep

@@ -72,8 +72,8 @@ func WriteChromeTrace(w io.Writer, traces []RequestTrace) error {
 // WriteTraceAttribution renders a tail-attribution report as text: the mean
 // decomposition of the retained (slowest) roots with percentage shares, the
 // per-window breakdown when the report is windowed, and the single slowest
-// root. Both the tailbench CLI and tailbench-report use it so the live and
-// replayed views render identically. A nil or empty report prints nothing.
+// root. The tailbench CLI prints it after every traced result, live or
+// replayed by report -input. A nil or empty report prints nothing.
 func WriteTraceAttribution(w io.Writer, rep *TraceReport) {
 	if rep == nil || len(rep.Slowest) == 0 {
 		return

@@ -128,7 +128,7 @@ func TestTraceAttributionExact(t *testing.T) {
 }
 
 // TestTraceJSONRoundTrip pins that a traced result survives the save/replay
-// cycle tailbench-report -input depends on: marshal, unmarshal, same trace.
+// cycle `tailbench report -input` depends on: marshal, unmarshal, same trace.
 func TestTraceJSONRoundTrip(t *testing.T) {
 	res := tracedSimPipeline(t, 8)
 	data, err := json.Marshal(res)

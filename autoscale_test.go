@@ -92,7 +92,7 @@ func peakWindowP99(res *ClusterResult) time.Duration {
 // windowed p99 within 1.5x of a statically peak-provisioned 8-replica
 // cluster while spending at least 30% fewer replica-seconds. (The measured
 // margins are much wider — about 1.2x and 50% — so the assertions are not
-// knife-edge; see examples/autoscale for the same study narrated.)
+// knife-edge.)
 func TestAutoscaleSpikeAcceptance(t *testing.T) {
 	samples := syntheticServiceSamples(400, 3)
 	// ~1000 QPS nominal capacity per replica: base load fits 2 replicas

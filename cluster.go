@@ -312,6 +312,9 @@ func (s ClusterSpec) validate() error {
 		// not a request for the default.
 		return fmt.Errorf("tailbench: ClusterSpec.Requests must not be negative (got %d)", s.Requests)
 	}
+	if err := checkQPS("ClusterSpec", s.QPS); err != nil {
+		return err
+	}
 	if err := checkNetworkDelay("ClusterSpec", s.NetworkDelay); err != nil {
 		return err
 	}
@@ -346,6 +349,15 @@ func (s ClusterSpec) validate() error {
 func checkNetworkDelay(spec string, d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("tailbench: %s.NetworkDelay must not be negative (got %v)", spec, d)
+	}
+	return nil
+}
+
+// checkQPS rejects a NaN, infinite or negative offered rate on the named
+// spec; zero keeps meaning saturation.
+func checkQPS(spec string, qps float64) error {
+	if math.IsNaN(qps) || math.IsInf(qps, 0) || qps < 0 {
+		return fmt.Errorf("tailbench: %s.QPS must be a finite rate >= 0 (got %v)", spec, qps)
 	}
 	return nil
 }

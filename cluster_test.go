@@ -64,54 +64,83 @@ func TestRunClusterIntegratedAllPolicies(t *testing.T) {
 	}
 }
 
-// TestRunClusterSimulatedStraggler demonstrates through the public API that
-// queue-aware balancing beats random routing on a cluster with one slowed
-// replica. The calibration stage measures the real application once and both
-// policies simulate on those same samples: the simulation stage is exactly
-// deterministic given the seed (see internal/cluster's
-// TestSimulateDeterministic), so the two runs differ in the policy alone.
-// The samples themselves follow the host, so only the qualitative gap is
-// asserted.
-func TestRunClusterSimulatedStraggler(t *testing.T) {
-	samples, err := MeasureServiceTimes("masstree", 0.05, 5, 200)
-	if err != nil {
-		t.Fatal(err)
+// TestRunClusterStraggler demonstrates through the public API that
+// queue-aware balancing routes around a slowed replica that random routing
+// keeps feeding, both in virtual time and over the networked transport.
+// Each row calibrates the real application once; only the qualitative gap
+// is asserted, since the samples follow the host.
+func TestRunClusterStraggler(t *testing.T) {
+	cases := []struct {
+		name     string
+		mode     Mode
+		app      string
+		scale    float64
+		slowdown float64
+		// load is the offered QPS in units of one replica's saturation.
+		load     float64
+		requests int
+	}{
+		// 70% of the nominal 4-replica capacity: overwhelming for the slowed
+		// replica under random routing, comfortable for queue-aware
+		// policies. Every policy simulates on the same samples, and the
+		// simulation is exactly deterministic given the seed (see
+		// internal/cluster's TestSimulateDeterministic), so the runs differ
+		// in the policy alone.
+		{"simulated", ModeSimulated, "masstree", 0.05, 4, 2.8, 3000},
+		// Every replica behind its own NetServer, the balancer steering by
+		// the stale client-side depth estimate. Half of one replica's
+		// saturation leaves the machine ample headroom, yet random's quarter
+		// share (12.5% of nominal) overloads the 10x straggler (10%).
+		{"networked", ModeNetworked, "xapian", 0.1, 10, 0.5, 1000},
 	}
-	// 70% of the nominal 4-replica capacity: overwhelming for the slowed
-	// replica under random routing, comfortable for queue-aware policies.
-	qps := 0.7 * 4 * SaturationQPS(samples, 1)
-	run := func(policy string) *ClusterResult {
-		t.Helper()
-		res, err := RunCluster(ClusterSpec{
-			App:            "masstree",
-			Mode:           ModeSimulated,
-			Policy:         policy,
-			Replicas:       4,
-			Threads:        1,
-			QPS:            qps,
-			Requests:       3000,
-			Warmup:         300,
-			Scale:          0.05,
-			Seed:           5,
-			Slowdowns:      []float64{4, 1, 1, 1},
-			ServiceSamples: samples,
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.mode != ModeSimulated && testing.Short() {
+				t.Skip("live networked cluster runs skipped in -short mode")
+			}
+			samples, err := MeasureServiceTimes(tc.app, tc.scale, 5, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(policy string) *ClusterResult {
+				t.Helper()
+				spec := ClusterSpec{
+					App:       tc.app,
+					Mode:      tc.mode,
+					Policy:    policy,
+					Replicas:  4,
+					Threads:   1,
+					QPS:       tc.load * SaturationQPS(samples, 1),
+					Requests:  tc.requests,
+					Warmup:    tc.requests / 10,
+					Scale:     tc.scale,
+					Seed:      5,
+					Slowdowns: []float64{tc.slowdown, 1, 1, 1},
+				}
+				if tc.mode == ModeSimulated {
+					spec.ServiceSamples = samples
+				}
+				res, err := RunCluster(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			random := run("random")
+			if random.PerReplica[0].Slowdown != tc.slowdown {
+				t.Errorf("straggler slowdown not recorded: %+v", random.PerReplica[0])
+			}
+			for _, policy := range []string{"leastq", "jsq2"} {
+				res := run(policy)
+				if res.PerReplica[0].Dispatched >= random.PerReplica[0].Dispatched {
+					t.Errorf("%s sent %d requests to the straggler, random sent %d; expected fewer",
+						policy, res.PerReplica[0].Dispatched, random.PerReplica[0].Dispatched)
+				}
+				if res.Sojourn.P99 >= random.Sojourn.P99 {
+					t.Errorf("%s p99 = %v, want < random p99 = %v", policy, res.Sojourn.P99, random.Sojourn.P99)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	random := run("random")
-	jsq2 := run("jsq2")
-	if jsq2.Sojourn.P99 >= random.Sojourn.P99 {
-		t.Errorf("jsq2 p99 = %v, want < random p99 = %v", jsq2.Sojourn.P99, random.Sojourn.P99)
-	}
-	if random.PerReplica[0].Slowdown != 4 {
-		t.Errorf("straggler slowdown not recorded: %+v", random.PerReplica[0])
-	}
-	if jsq2.PerReplica[0].Dispatched >= random.PerReplica[0].Dispatched {
-		t.Errorf("jsq2 sent %d requests to the straggler, random sent %d; expected fewer",
-			jsq2.PerReplica[0].Dispatched, random.PerReplica[0].Dispatched)
 	}
 }
 

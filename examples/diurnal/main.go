@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"tailbench"
-	"tailbench/sweep"
 )
 
 const (
@@ -47,18 +46,14 @@ const (
 )
 
 func main() {
-	opts := sweep.Options{
-		Scale:    scale,
-		Requests: requests,
-		Warmup:   warmup,
-		Seed:     seed,
-	}
-	// Calibrate once so both scenarios share the same capacity estimate.
-	cal, err := sweep.Calibrate(app, opts)
+	// Calibrate once so both scenarios share the same capacity estimate and
+	// every policy run replays the same service-time samples: policies are
+	// compared against an identical workload.
+	samples, err := tailbench.MeasureServiceTimes(app, scale, seed, 150)
 	if err != nil {
 		log.Fatal(err)
 	}
-	capacity := math.Round(cal.SaturationQPS) * replicas
+	capacity := math.Round(tailbench.SaturationQPS(samples, 1)) * replicas
 	// Horizon that the request budget covers at the scenarios' ~50% mean
 	// load; the shapes live inside it.
 	horizon := time.Duration(float64(requests+warmup) / (0.5 * capacity) * float64(time.Second))
@@ -72,34 +67,54 @@ func main() {
 	fmt.Printf("=== 3x spike (%s) ===\n", spike.Spec())
 	fmt.Println("mean load is only ~50% of capacity — a constant-rate run at the")
 	fmt.Println("same average would show nothing; the spike windows tell the story:")
-	runScenario(policies, spike, window, cal, opts)
+	runScenario(policies, spike, window, samples)
 
 	diurnal := tailbench.Diurnal(math.Round(0.4*capacity), math.Round(0.3*capacity), horizon/2)
 	fmt.Printf("=== diurnal cycle (%s) ===\n", diurnal.Spec())
-	runScenario(policies, diurnal, window, cal, opts)
+	runScenario(policies, diurnal, window, samples)
 }
 
-func runScenario(policies []string, shape tailbench.LoadShape, window time.Duration, cal *sweep.Calibration, opts sweep.Options) {
-	// Reuse the calibration the shape was sized from: the application is
-	// measured exactly once for the whole study.
-	series, err := sweep.ShapeComparison(app, tailbench.ModeSimulated, replicas, 1,
-		policies, shape, window, cal, opts)
-	if err != nil {
-		log.Fatal(err)
+func runScenario(policies []string, shape tailbench.LoadShape, window time.Duration, samples []time.Duration) {
+	results := make([]*tailbench.ClusterResult, len(policies))
+	for i, policy := range policies {
+		res, err := tailbench.RunCluster(tailbench.ClusterSpec{
+			App:            app,
+			Mode:           tailbench.ModeSimulated,
+			Policy:         policy,
+			Replicas:       replicas,
+			Threads:        1,
+			Load:           shape,
+			Window:         window,
+			Requests:       requests,
+			Warmup:         warmup,
+			Scale:          scale,
+			Seed:           seed,
+			ServiceSamples: samples,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		results[i] = res
 	}
 	fmt.Println()
 	fmt.Printf("%-10s %-14s %-14s %s\n", "policy", "overall_p99", "peak_win_p99", "peak/overall")
-	for _, s := range series {
-		ratio := 0.0
-		if s.OverallP99 > 0 {
-			ratio = float64(s.PeakP99) / float64(s.OverallP99)
+	for i, res := range results {
+		// The peak windowed p99 is how the policy rode the shape's
+		// excursion; the whole-run p99 averages that excursion away.
+		var peak time.Duration
+		for _, w := range res.Windows {
+			peak = max(peak, w.P99)
 		}
-		fmt.Printf("%-10s %-14v %-14v %.1fx\n", s.Policy,
-			s.OverallP99.Round(time.Microsecond), s.PeakP99.Round(time.Microsecond), ratio)
+		ratio := 0.0
+		if res.Sojourn.P99 > 0 {
+			ratio = float64(peak) / float64(res.Sojourn.P99)
+		}
+		fmt.Printf("%-10s %-14v %-14v %.1fx\n", policies[i],
+			res.Sojourn.P99.Round(time.Microsecond), peak.Round(time.Microsecond), ratio)
 	}
-	for _, s := range series {
-		fmt.Printf("\n%s, window by window:\n", s.Policy)
-		tailbench.WriteWindowTable(os.Stdout, s.Windows)
+	for i, res := range results {
+		fmt.Printf("\n%s, window by window:\n", policies[i])
+		tailbench.WriteWindowTable(os.Stdout, res.Windows)
 	}
 	fmt.Println()
 }

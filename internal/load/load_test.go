@@ -2,6 +2,7 @@ package load
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,12 +214,57 @@ func TestParseErrors(t *testing.T) {
 		"trace:1s",
 		"trace:0s,100",
 		"ramp:100,abc,30s",
+		"constant:NaN",
+		"constant:Inf",
+		"spike:1,+Inf,0s,1s",
+		"trace:1s,NaN,2",
+		"diurnal:1e308,1e308,4ms",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) should fail", spec)
 		}
 	}
+}
+
+// FuzzParse checks the shape grammar on its own: no panic; an accepted spec
+// re-parses from its Spec() to the same Spec(); and its rate is finite and
+// >= 0 wherever it is read. Inputs naming a @file are skipped so the fuzzer
+// never opens files. Run with
+//
+//	go test ./internal/load -run '^$' -fuzz FuzzParse -fuzztime 30s
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"constant:2000",
+		"diurnal:500,300,10s",
+		"ramp:100,1000,30s",
+		"spike:500,1500,5s,2s",
+		"burst:100,2000,2s,500ms",
+		"trace:1s,100,500,900,500,100",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if strings.Contains(spec, "@") {
+			t.Skip("names a file")
+		}
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.Spec())
+		if err != nil {
+			t.Fatalf("Parse(%q).Spec() = %q does not re-parse: %v", spec, s.Spec(), err)
+		}
+		if again.Spec() != s.Spec() {
+			t.Errorf("Parse(%q): Spec %q re-parses to %q", spec, s.Spec(), again.Spec())
+		}
+		for _, at := range []time.Duration{0, time.Millisecond, time.Second, time.Minute} {
+			if r := s.Rate(at); math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+				t.Errorf("Parse(%q).Rate(%v) = %v", spec, at, r)
+			}
+		}
+	})
 }
 
 func TestDegenerateZeroTailTerminates(t *testing.T) {

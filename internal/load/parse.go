@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -107,10 +108,14 @@ func (p *argParser) want(args []string, n int) {
 }
 
 // done resolves the parse: the shape if every argument was valid, else the
-// first error.
+// first error. Finite arguments can still overflow a diurnal's peak
+// (BASE+AMPLITUDE), which would make its rate infinite.
 func (p *argParser) done(s Shape) (Shape, error) {
 	if p.err != nil {
 		return nil, p.err
+	}
+	if math.IsInf(s.MaxRate(), 0) {
+		return nil, fmt.Errorf("load: %s: peak rate overflows (got %s)", p.shape, s.Spec())
 	}
 	return s, nil
 }
@@ -121,12 +126,17 @@ func (p *argParser) rate(args []string, i int) float64 {
 		return 0
 	}
 	q, err := strconv.ParseFloat(args[i], 64)
-	if err != nil || q < 0 {
+	if err != nil || !validRate(q) {
 		p.err = fmt.Errorf("load: %s: bad rate %q (want a number of queries per second >= 0)", p.shape, args[i])
 		return 0
 	}
 	return q
 }
+
+// validRate reports whether a parsed rate is finite and >= 0: ParseFloat
+// accepts "NaN" and "Inf", which the shape constructors would silently
+// clamp to 0.
+func validRate(q float64) bool { return q >= 0 && !math.IsInf(q, 1) }
 
 // dur parses the i-th argument as a non-negative duration.
 func (p *argParser) dur(args []string, i int) time.Duration {

@@ -61,7 +61,7 @@ func TraceFile(path string, interval time.Duration) (Shape, error) {
 				continue
 			}
 			r, err := strconv.ParseFloat(tok, 64)
-			if err != nil || r < 0 {
+			if err != nil || !validRate(r) {
 				return nil, fmt.Errorf("load: trace file %s:%d: bad rate %q (want a number of queries per second >= 0)", path, line, tok)
 			}
 			rates = append(rates, r)

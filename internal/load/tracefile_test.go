@@ -78,6 +78,8 @@ func TestTraceFileErrors(t *testing.T) {
 		{"empty.txt", "# nothing\n", "holds no rates"},
 		{"badrate.txt", "10\nbogus\n", "bad rate"},
 		{"negrate.txt", "-5\n", "bad rate"},
+		{"nanrate.txt", "10\nNaN\n", "bad rate"},
+		{"infrate.txt", "+Inf\n", "bad rate"},
 		{"badint.txt", "interval=fast\n10\n", "bad interval"},
 		{"lateint.txt", "10\ninterval=1s\n", "must precede"},
 	}

@@ -224,6 +224,9 @@ func normalizePipeline(spec PipelineSpec) (PipelineSpec, error) {
 	if spec.Requests < 0 {
 		return spec, fmt.Errorf("tailbench: PipelineSpec.Requests must not be negative (got %d)", spec.Requests)
 	}
+	if err := checkQPS("PipelineSpec", spec.QPS); err != nil {
+		return spec, err
+	}
 	if err := checkNetworkDelay("PipelineSpec", spec.NetworkDelay); err != nil {
 		return spec, err
 	}

@@ -21,8 +21,8 @@ func expServiceSamples(n int, mean time.Duration, seed int64) []time.Duration {
 	return out
 }
 
-// bimodalServiceSamples mirrors examples/fanout's xapian-like shard model:
-// mostly fast index probes plus a rare (1%) slow-query mode 5-30x longer.
+// bimodalServiceSamples is a xapian-like shard model: mostly fast index
+// probes plus a rare (1%) slow-query mode 5-30x longer.
 func bimodalServiceSamples(n int, seed int64) []time.Duration {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]time.Duration, n)
@@ -201,9 +201,8 @@ func TestFanoutTailAmplificationProperty(t *testing.T) {
 	}
 }
 
-// TestFanoutStudyAcceptance pins examples/fanout's asserted claims on the
-// same topology and service model (a rare slow-query mode), through
-// RunPipeline directly: (a) end-to-end p99 amplifies monotonically across
+// TestFanoutStudyAcceptance pins the fan-out study's claims on a two-tier
+// topology whose shards have a rare slow-query mode: (a) end-to-end p99 amplifies monotonically across
 // k in {1, 4, 16}, and (b) hedging the shard edge at the p95 delay budget
 // cuts the k=16 p99 by at least 20% — the measured margin is far wider
 // (~70%), so the assertion is not knife-edge.
@@ -357,6 +356,9 @@ func TestRunPipelineValidation(t *testing.T) {
 		{"no tiers", func(s *PipelineSpec) { s.Tiers = nil }, "at least one tier"},
 		{"negative requests", func(s *PipelineSpec) { s.Requests = -1 }, "must not be negative"},
 		{"negative network delay", func(s *PipelineSpec) { s.NetworkDelay = -time.Microsecond }, "PipelineSpec.NetworkDelay must not be negative (got -1µs)"},
+		{"NaN QPS", func(s *PipelineSpec) { s.QPS = math.NaN() }, "PipelineSpec.QPS must be a finite rate >= 0 (got NaN)"},
+		{"infinite QPS", func(s *PipelineSpec) { s.QPS = math.Inf(1) }, "PipelineSpec.QPS must be a finite rate >= 0 (got +Inf)"},
+		{"negative QPS", func(s *PipelineSpec) { s.QPS = -5 }, "PipelineSpec.QPS must be a finite rate >= 0 (got -5)"},
 		{"negative edge delay", func(s *PipelineSpec) { s.Tiers[1].Edge = &EdgeSpec{NetworkDelay: -time.Microsecond} }, "tier 1 Edge.NetworkDelay must not be negative (got -1µs)"},
 		{"tier0 fanout", func(s *PipelineSpec) { s.Tiers[0].FanOut = 4 }, "root arrival process"},
 		{"tier0 hedge", func(s *PipelineSpec) { s.Tiers[0].Hedge = &HedgeSpec{Delay: time.Millisecond} }, "no inbound edge"},
@@ -410,6 +412,9 @@ func TestTierValidationMatchesCluster(t *testing.T) {
 		{"unknown app", func(s *ClusterSpec) { s.App = "nope" }, "unknown application"},
 		{"negative requests", func(s *ClusterSpec) { s.Requests = -1 }, "ClusterSpec.Requests must not be negative"},
 		{"negative network delay", func(s *ClusterSpec) { s.NetworkDelay = -time.Microsecond }, "ClusterSpec.NetworkDelay must not be negative (got -1µs)"},
+		{"NaN QPS", func(s *ClusterSpec) { s.QPS = math.NaN() }, "ClusterSpec.QPS must be a finite rate >= 0 (got NaN)"},
+		{"infinite QPS", func(s *ClusterSpec) { s.QPS = math.Inf(-1) }, "ClusterSpec.QPS must be a finite rate >= 0 (got -Inf)"},
+		{"negative QPS", func(s *ClusterSpec) { s.QPS = -5 }, "ClusterSpec.QPS must be a finite rate >= 0 (got -5)"},
 	}
 	for _, tc := range cases {
 		spec := base

@@ -127,9 +127,6 @@ type LoadPoint struct {
 	P99  time.Duration
 	// QueueMean is the mean queuing delay at this load.
 	QueueMean time.Duration
-	// MeanQueueDepth is the mean outstanding-request count observed at
-	// dispatch instants (cluster experiments only).
-	MeanQueueDepth float64
 }
 
 // LoadCurve is a latency-vs-load series for one (app, mode, threads)
@@ -141,20 +138,12 @@ type LoadCurve struct {
 	// IdealMemory marks simulated curves run with the idealized memory
 	// system (Fig. 8).
 	IdealMemory bool
-	// Policy and Replicas identify cluster experiment series (see
-	// PolicyComparison and ReplicaScaling); Replicas is zero for
-	// single-server curves.
-	Policy   string
-	Replicas int
-	Points   []LoadPoint
+	Points      []LoadPoint
 }
 
 // Label returns the series label used in figure output.
 func (c LoadCurve) Label() string {
 	l := fmt.Sprintf("%s/%s/%dthr", c.App, c.Mode, c.Threads)
-	if c.Replicas > 0 {
-		l = fmt.Sprintf("%s/%s/%dx%dthr/%s", c.App, c.Mode, c.Replicas, c.Threads, c.Policy)
-	}
 	if c.IdealMemory {
 		l += "/ideal-mem"
 	}

@@ -316,6 +316,9 @@ func Run(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkQPS("RunSpec", spec.QPS); err != nil {
+		return nil, err
+	}
 	if err := checkNetworkDelay("RunSpec", spec.NetworkDelay); err != nil {
 		return nil, err
 	}

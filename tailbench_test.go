@@ -2,6 +2,7 @@ package tailbench
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -35,11 +36,23 @@ func TestModeString(t *testing.T) {
 
 // TestRunRejectsNegativeNetworkDelay: a negative synthetic delay is an error
 // on every spec, as it always was on a pipeline edge; it used to fall
-// through to the 25µs default.
+// through to the 25µs default. A NaN, infinite or negative QPS is rejected
+// the same way; it used to run at rate 0 or at saturation.
 func TestRunRejectsNegativeNetworkDelay(t *testing.T) {
-	_, err := Run(RunSpec{App: "masstree", Mode: ModeNetworked, NetworkDelay: -time.Microsecond})
-	if err == nil || !strings.Contains(err.Error(), "RunSpec.NetworkDelay must not be negative (got -1µs)") {
-		t.Errorf("negative RunSpec.NetworkDelay: err = %v", err)
+	cases := []struct {
+		spec RunSpec
+		want string
+	}{
+		{RunSpec{Mode: ModeNetworked, NetworkDelay: -time.Microsecond}, "RunSpec.NetworkDelay must not be negative (got -1µs)"},
+		{RunSpec{Mode: ModeSimulated, QPS: math.NaN()}, "RunSpec.QPS must be a finite rate >= 0 (got NaN)"},
+		{RunSpec{QPS: math.Inf(1)}, "RunSpec.QPS must be a finite rate >= 0 (got +Inf)"},
+		{RunSpec{QPS: -1}, "RunSpec.QPS must be a finite rate >= 0 (got -1)"},
+	}
+	for _, tc := range cases {
+		tc.spec.App = "masstree"
+		if _, err := Run(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run(%+v): err = %v, want substring %q", tc.spec, err, tc.want)
+		}
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"tailbench/internal/core"
 )
 
 // PageSize is the size of a disk page in bytes.
@@ -129,7 +131,7 @@ func newDisk(cfg DiskConfig) *disk {
 
 func (d *disk) readPage(id uint32) ([]byte, bool) {
 	if d.cfg.ReadLatency > 0 {
-		time.Sleep(d.cfg.ReadLatency)
+		core.Sleep(d.cfg.ReadLatency)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -140,7 +142,7 @@ func (d *disk) readPage(id uint32) ([]byte, bool) {
 
 func (d *disk) writePage(id uint32, data []byte) {
 	if d.cfg.WriteLatency > 0 {
-		time.Sleep(d.cfg.WriteLatency)
+		core.Sleep(d.cfg.WriteLatency)
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -152,7 +154,7 @@ func (d *disk) writePage(id uint32, data []byte) {
 
 func (d *disk) sync() {
 	if d.cfg.SyncLatency > 0 {
-		time.Sleep(d.cfg.SyncLatency)
+		core.Sleep(d.cfg.SyncLatency)
 	}
 	d.mu.Lock()
 	d.syncs++

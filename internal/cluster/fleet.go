@@ -317,7 +317,7 @@ func (f *Fleet[T]) work(rep *Replica[T]) {
 			// Straggler injection: inflate the effective service time by
 			// holding the worker (and therefore the replica's capacity) for
 			// the extra duration.
-			time.Sleep(time.Duration((rep.slowdown - 1) * float64(time.Since(start))))
+			core.Sleep(time.Duration((rep.slowdown - 1) * float64(time.Since(start))))
 		}
 		end := time.Now()
 		failed := perr != nil

@@ -186,3 +186,47 @@ func (s blockingServer) Process(req app.Request) (app.Response, error) {
 	<-s.release
 	return app.Response(req), nil
 }
+
+// spinServer busy-waits its service time, so the slowdown sleep is the only
+// sleep in a request's service.
+type spinServer struct{ work time.Duration }
+
+func (spinServer) Name() string { return "spin" }
+func (s spinServer) Process(req app.Request) (app.Response, error) {
+	for deadline := time.Now().Add(s.work); time.Now().Before(deadline); {
+	}
+	return app.Response(req), nil
+}
+func (spinServer) Close() error { return nil }
+
+// TestSlowdownIsExact pins the size of straggler injection on both serving
+// runtimes (the in-process worker and the networked slowServer): a 2x
+// slowdown over 200 µs of service adds 200 µs, not the runtime's 1 ms
+// timer tick (a time.Sleep slowdown put the p50 at 1.2 ms).
+func TestSlowdownIsExact(t *testing.T) {
+	for _, transport := range []string{TransportInProcess, TransportLoopback} {
+		t.Run(transport, func(t *testing.T) {
+			res, err := Run("spin", []app.Server{spinServer{work: 200 * time.Microsecond}},
+				newFakeClient,
+				Config{
+					Policy:         PolicyRoundRobin,
+					Threads:        1,
+					Transport:      transport,
+					QPS:            1000,
+					Requests:       400,
+					WarmupRequests: 40,
+					Seed:           5,
+					Slowdowns:      []float64{2},
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The median, not the mean: each preemption of the spin is
+			// doubled by the slowdown, and on a loaded host those few
+			// requests pull the mean past 600 µs while the median holds.
+			if p50 := res.Service.P50; p50 < 380*time.Microsecond || p50 > 520*time.Microsecond {
+				t.Errorf("2x-slowed 200µs service has p50 %v, want within [380µs, 520µs]", p50)
+			}
+		})
+	}
+}

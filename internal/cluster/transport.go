@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tailbench/internal/app"
+	"tailbench/internal/core"
 )
 
 // Transport kind names accepted by Config.Transport. The transport decides
@@ -151,7 +152,7 @@ func (s slowServer) Name() string { return s.inner.Name() }
 func (s slowServer) Process(req app.Request) (app.Response, error) {
 	start := time.Now()
 	resp, err := s.inner.Process(req)
-	time.Sleep(time.Duration((s.factor - 1) * float64(time.Since(start))))
+	core.Sleep(time.Duration((s.factor - 1) * float64(time.Since(start))))
 	return resp, err
 }
 

@@ -79,7 +79,7 @@ func RunClosedLoop(server app.Server, newClient ClientFactory, cfg RunConfig) (*
 							if gap > time.Until(deadline) {
 								return
 							}
-							time.Sleep(gap)
+							Sleep(gap)
 							break
 						}
 						// The shape prescribes no load right now (an off

@@ -44,13 +44,13 @@ func (ts *TrafficShaper) Schedule(n int) []time.Duration {
 // Shape returns the arrival-rate profile the shaper follows.
 func (ts *TrafficShaper) Shape() load.Shape { return ts.shape }
 
-// WaitUntil sleeps until the target time. It sleeps coarsely for most of the
-// wait and spins for the final stretch so that sub-millisecond inter-arrival
-// gaps (tens of thousands of QPS) are honored with reasonable fidelity even
-// though the OS sleep granularity is much coarser. Late arrivals are simply
-// issued immediately; because sojourn time is measured from the *scheduled*
-// arrival instant, dispatcher lag shows up as latency instead of silently
-// thinning the offered load.
+// WaitUntil sleeps until the target time. It parks in Sleep (microsecond
+// resolution on Linux) until the final 100 µs and spins the rest, so that
+// sub-millisecond inter-arrival gaps are honored without the wait holding a
+// core the workers it paces need. Late arrivals are simply issued
+// immediately; because sojourn time is measured from the *scheduled* arrival
+// instant, dispatcher lag shows up as latency instead of silently thinning
+// the offered load.
 func WaitUntil(target time.Time) {
 	const spinWindow = 100 * time.Microsecond
 	for {
@@ -60,7 +60,7 @@ func WaitUntil(target time.Time) {
 			return
 		}
 		if remaining > spinWindow {
-			time.Sleep(remaining - spinWindow)
+			Sleep(remaining - spinWindow)
 			continue
 		}
 		// Busy-wait the final stretch, yielding the processor between polls

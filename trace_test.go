@@ -269,12 +269,15 @@ func TestTraceLiveWellFormed(t *testing.T) {
 		checkWellFormed(t, rt, 5*time.Millisecond)
 	}
 
+	// A 1 µs hedge delay hedges almost every sub-request. With the pacer
+	// issuing on time, masstree sub-requests rarely wait 100 µs, so a longer
+	// delay leaves the hedge assertion below to chance.
 	pres, err := RunPipeline(PipelineSpec{
 		Mode: ModeIntegrated,
 		Tiers: []TierSpec{
 			{Cluster: ClusterSpec{App: "masstree", Replicas: 1, Scale: 0.05}},
 			{Cluster: ClusterSpec{App: "masstree", Replicas: 2, Scale: 0.05}, FanOut: 2,
-				Hedge: &HedgeSpec{Delay: 100 * time.Microsecond}},
+				Hedge: &HedgeSpec{Delay: time.Microsecond}},
 		},
 		QPS: 400, Requests: 400, Warmup: 40, Seed: 1,
 		Trace: &TraceSpec{TopK: 8},

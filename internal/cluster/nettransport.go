@@ -155,7 +155,9 @@ func (t *netTransport[T]) provision(rep *Replica[T]) {
 // complete converts one response frame into a completion: the
 // server-measured queue and service times come from the header, and the
 // engine measures the sojourn client-side up to the frame's arrival (so
-// dispatch and wire time count as latency).
+// dispatch and wire time count as latency). msg is the pool's decoder
+// storage, valid only during the call: CheckResponse reads its payload
+// here, and nothing keeps it.
 func (t *netTransport[T]) complete(rep *Replica[T], msg *netproto.Message, at time.Time) {
 	rep.pendMu.Lock()
 	p, ok := rep.pending[msg.ID]
@@ -267,7 +269,7 @@ func (t *netTransport[T]) outstanding() int {
 // deadline), then closes the connection pools and the per-slot net servers.
 func (t *netTransport[T]) shutdown(deadline time.Time) error {
 	for t.outstanding() > 0 && !time.Now().After(deadline) {
-		time.Sleep(200 * time.Microsecond)
+		core.Sleep(200 * time.Microsecond)
 	}
 	for _, rep := range t.f.replicas {
 		if rep.pool != nil {

@@ -165,6 +165,8 @@ func runClientConn(addr string, share clientConfig, client app.Client, cfg RunCo
 	}
 
 	pending := newPendingSet(total)
+	// msg is valid only during the callback; CheckResponse reads its
+	// payload synchronously and nothing keeps it.
 	pool, err := DialReplica(addr, 1, func(msg *netproto.Message, now time.Time) {
 		inf, ok := pending.take(msg.ID)
 		if !ok {
@@ -217,7 +219,7 @@ func runClientConn(addr string, share clientConfig, client app.Client, cfg RunCo
 			drained = false
 			break
 		}
-		time.Sleep(200 * time.Microsecond)
+		Sleep(200 * time.Microsecond)
 	}
 	pool.Close()
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -84,17 +85,11 @@ type netPending struct {
 	enqueue time.Time
 }
 
-// serverConn wraps a connection with a write lock so worker threads can
-// interleave responses safely.
+// serverConn is the response side of one connection: worker threads send
+// through its outbox, which writes a response through when the server has
+// nothing else queued and batches responses when it does.
 type serverConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
-}
-
-func (c *serverConn) writeMessage(m *netproto.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return netproto.Write(c.conn, m)
+	out *netproto.Outbox
 }
 
 // NewNetServer wraps an application server with the TCP front end.
@@ -160,15 +155,17 @@ func (s *NetServer) acceptLoop() {
 // readLoop reads framed requests from one connection and enqueues them.
 func (s *NetServer) readLoop(conn net.Conn) {
 	defer s.acceptors.Done()
+	sc := &serverConn{out: netproto.NewOutbox(conn)}
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		sc.out.Close()
 		conn.Close()
 	}()
-	sc := &serverConn{conn: conn}
+	dec := netproto.NewDecoder(conn)
 	for {
-		msg, err := netproto.Read(conn)
+		msg, err := dec.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				// Protocol error: drop the connection.
@@ -178,8 +175,12 @@ func (s *NetServer) readLoop(conn net.Conn) {
 		}
 		switch msg.Type {
 		case netproto.TypeRequest:
+			// The payload goes to a worker and may outlive the next frame
+			// (an echo returns it as its response), so it leaves the
+			// decoder's buffer as a copy.
+			payload := bytes.Clone(msg.Payload)
 			s.outstanding.Add(1)
-			s.queue <- netPending{conn: sc, id: msg.ID, payload: msg.Payload, enqueue: time.Now()}
+			s.queue <- netPending{conn: sc, id: msg.ID, payload: payload, enqueue: time.Now()}
 		case netproto.TypeShutdown:
 			return
 		default:
@@ -224,8 +225,10 @@ func (s *NetServer) worker() {
 			msg.Type = netproto.TypeResponse
 			msg.Payload = resp
 		}
-		// A write failure means the client went away; nothing to do.
-		_ = p.conn.writeMessage(msg)
+		// With nothing left in the server, the response is written at
+		// once; otherwise it joins its connection's next batch. A write
+		// failure means the client went away; nothing to do.
+		_ = p.conn.out.Send(msg, depth == 0)
 	}
 }
 

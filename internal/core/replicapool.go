@@ -31,14 +31,7 @@ type ReplicaConn struct {
 
 	next        atomic.Uint64 // round-robin send cursor
 	outstanding atomic.Int64
-
-	// estMu guards the two halves of the depth estimate so a send racing a
-	// response reset cannot be erased from it: lastDepth is the server's
-	// most recent reported depth, sentSince the requests sent after that
-	// report landed.
-	estMu     sync.Mutex
-	lastDepth int64
-	sentSince int64
+	est         depthEstimate
 
 	onResponse func(msg *netproto.Message, at time.Time)
 	onLost     func(err error)
@@ -46,19 +39,40 @@ type ReplicaConn struct {
 	closed     atomic.Bool
 }
 
-// replicaConnHalf is one TCP connection of the pool with its write lock
-// (sends from the dispatcher and reads by the reader goroutine share the
-// socket).
+// replicaConnHalf is one TCP connection of the pool: senders write through
+// its outbox, and the pool's reader goroutine for it decodes responses.
 type replicaConnHalf struct {
 	conn net.Conn
-	wmu  sync.Mutex
+	out  *netproto.Outbox
+}
+
+// depthEstimate is the client's view of a replica's depth in one atomic
+// word: the server's most recent reported depth in the high 32 bits, the
+// requests sent since that report landed in the low 32. One word is what
+// keeps a send racing a report from being half-counted: a send ordered
+// before the report is erased by it, and one ordered after it is counted.
+// (Only 2^32 sends without a single report would carry into the depth.)
+type depthEstimate struct{ v atomic.Uint64 }
+
+// sent counts one request sent since the last report.
+func (e *depthEstimate) sent() { e.v.Add(1) }
+
+// reported replaces the estimate by a fresh server report.
+func (e *depthEstimate) reported(depth uint32) { e.v.Store(uint64(depth) << 32) }
+
+// value is the reported depth plus the requests sent since.
+func (e *depthEstimate) value() int {
+	v := e.v.Load()
+	return int(v>>32) + int(uint32(v))
 }
 
 // DialReplica opens conns TCP connections to a replica's NetServer and
 // starts their readers. onResponse is invoked from a reader goroutine for
 // every response or error frame, after the pool's load signals have been
 // updated; it must not block for long (it is on the latency path of every
-// completion on that connection).
+// completion on that connection). The message, and its Payload above all,
+// belong to the connection's decoder and are valid only for the duration of
+// the call: a callback that keeps the payload copies it.
 func DialReplica(addr string, conns int, onResponse func(msg *netproto.Message, at time.Time)) (*ReplicaConn, error) {
 	return DialReplicaWatched(addr, conns, onResponse, nil)
 }
@@ -78,7 +92,7 @@ func DialReplicaWatched(addr string, conns int, onResponse func(msg *netproto.Me
 			rc.Close()
 			return nil, fmt.Errorf("core: replica dial %s: %w", addr, err)
 		}
-		half := &replicaConnHalf{conn: conn}
+		half := &replicaConnHalf{conn: conn, out: netproto.NewOutbox(conn)}
 		rc.conns = append(rc.conns, half)
 		rc.readers.Add(1)
 		go rc.read(half)
@@ -90,8 +104,9 @@ func DialReplicaWatched(addr string, conns int, onResponse func(msg *netproto.Me
 // close the pool did not ask for.
 func (rc *ReplicaConn) read(half *replicaConnHalf) {
 	defer rc.readers.Done()
+	dec := netproto.NewDecoder(half.conn)
 	for {
-		msg, err := netproto.Read(half.conn)
+		msg, err := dec.Next()
 		if err != nil {
 			if rc.onLost != nil && !rc.closed.Load() {
 				rc.onLost(err)
@@ -107,26 +122,23 @@ func (rc *ReplicaConn) read(half *replicaConnHalf) {
 		// (With several connections, reports can land slightly out of order;
 		// that reordering is within the estimate's stale-by-one-flight
 		// contract.)
-		rc.estMu.Lock()
-		rc.lastDepth = int64(msg.Depth)
-		rc.sentSince = 0
-		rc.estMu.Unlock()
+		rc.est.reported(msg.Depth)
 		if rc.onResponse != nil {
 			rc.onResponse(msg, now)
 		}
 	}
 }
 
-// Send issues one request frame on the pool's next connection.
+// Send issues one request frame on the pool's next connection. A request
+// sent to an idle pool (nothing outstanding) is written by the caller; one
+// sent while others are outstanding is queued and leaves with its
+// connection's next batch. Send copies payload, and it waits while the
+// connection's queue is full. After Close it returns an error.
 func (rc *ReplicaConn) Send(id uint64, payload []byte) error {
 	half := rc.conns[rc.next.Add(1)%uint64(len(rc.conns))]
-	rc.outstanding.Add(1)
-	rc.estMu.Lock()
-	rc.sentSince++
-	rc.estMu.Unlock()
-	half.wmu.Lock()
-	err := netproto.Write(half.conn, &netproto.Message{Type: netproto.TypeRequest, ID: id, Payload: payload})
-	half.wmu.Unlock()
+	idle := rc.outstanding.Add(1) == 1
+	rc.est.sent()
+	err := half.out.Send(&netproto.Message{Type: netproto.TypeRequest, ID: id, Payload: payload}, idle)
 	if err != nil {
 		rc.outstanding.Add(-1)
 		return fmt.Errorf("core: replica send: %w", err)
@@ -144,27 +156,19 @@ func (rc *ReplicaConn) Outstanding() int { return int(rc.outstanding.Load()) }
 // responses the estimate ages — that staleness is a real property of
 // client-side balancing over a network, and exactly the signal degradation
 // networked-mode policy studies exist to measure.
-func (rc *ReplicaConn) EstimatedDepth() int {
-	rc.estMu.Lock()
-	d := rc.lastDepth + rc.sentSince
-	rc.estMu.Unlock()
-	if d < 0 {
-		return 0
-	}
-	return int(d)
-}
+func (rc *ReplicaConn) EstimatedDepth() int { return rc.est.value() }
 
-// Close sends a shutdown frame on every connection, closes them, and waits
-// for the readers to exit. Responses still in flight when Close is called
-// are lost; callers drain Outstanding to zero first when they care.
+// Close writes what every connection has queued, then a shutdown frame,
+// closes the connections, and waits for the readers to exit. Responses
+// still in flight when Close is called are lost; callers drain Outstanding
+// to zero first when they care.
 func (rc *ReplicaConn) Close() error {
 	if !rc.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	for _, half := range rc.conns {
-		half.wmu.Lock()
-		_ = netproto.Write(half.conn, &netproto.Message{Type: netproto.TypeShutdown})
-		half.wmu.Unlock()
+		_ = half.out.Send(&netproto.Message{Type: netproto.TypeShutdown}, false)
+		half.out.Close()
 		half.conn.Close()
 	}
 	rc.readers.Wait()

@@ -9,10 +9,12 @@
 package netproto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Message types.
@@ -64,35 +66,62 @@ var (
 	ErrPayloadTooLarge = errors.New("netproto: payload exceeds maximum size")
 )
 
+// Append appends the encoding of m to dst and returns the extended slice.
+// It is the one encoder: Write is Append plus one w.Write, and a connection
+// that batches frames appends several before writing them all at once.
+func Append(dst []byte, m *Message) ([]byte, error) {
+	if len(m.Payload) > MaxPayload {
+		return dst, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(m.Payload))
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, headerSize+len(m.Payload))[:n+headerSize]
+	hdr := dst[n:]
+	binary.BigEndian.PutUint16(hdr[0:2], magic)
+	hdr[2] = m.Type
+	binary.BigEndian.PutUint64(hdr[3:11], m.ID)
+	binary.BigEndian.PutUint64(hdr[11:19], uint64(m.QueueNs))
+	binary.BigEndian.PutUint64(hdr[19:27], uint64(m.ServiceNs))
+	binary.BigEndian.PutUint32(hdr[27:31], m.Depth)
+	binary.BigEndian.PutUint32(hdr[31:35], uint32(len(m.Payload)))
+	return append(dst, m.Payload...), nil
+}
+
 // Write encodes and writes one message to w.
 func Write(w io.Writer, m *Message) error {
-	if len(m.Payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(m.Payload))
+	buf, err := Append(nil, m)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, headerSize+len(m.Payload))
-	binary.BigEndian.PutUint16(buf[0:2], magic)
-	buf[2] = m.Type
-	binary.BigEndian.PutUint64(buf[3:11], m.ID)
-	binary.BigEndian.PutUint64(buf[11:19], uint64(m.QueueNs))
-	binary.BigEndian.PutUint64(buf[19:27], uint64(m.ServiceNs))
-	binary.BigEndian.PutUint32(buf[27:31], m.Depth)
-	binary.BigEndian.PutUint32(buf[31:35], uint32(len(m.Payload)))
-	copy(buf[headerSize:], m.Payload)
-	_, err := w.Write(buf)
+	_, err = w.Write(buf)
 	return err
 }
 
 // Read reads one message from r. It returns io.EOF (possibly wrapped as
-// io.ErrUnexpectedEOF mid-frame) when the stream ends.
+// io.ErrUnexpectedEOF mid-frame) when the stream ends. It is the one-shot
+// reference decoder: every call allocates the message and its payload, and
+// it reads no further into r than the frame. A connection that reads frame
+// after frame uses a Decoder, which parses with the same code.
 func Read(r io.Reader) (*Message, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	m := new(Message)
+	if _, err := decode(r, &hdr, m, nil); err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != magic {
-		return nil, ErrBadMagic
+	return m, nil
+}
+
+// decode reads one frame from r into m: the header through hdr, the payload
+// into buf when it is large enough and into a new slice otherwise. It
+// returns the buffer the payload went to, so a caller that owns buf can keep
+// the larger one. An empty payload decodes as nil.
+func decode(r io.Reader, hdr *[headerSize]byte, m *Message, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return buf, err
 	}
-	m := &Message{
+	if binary.BigEndian.Uint16(hdr[0:2]) != magic {
+		return buf, ErrBadMagic
+	}
+	*m = Message{
 		Type:      hdr[2],
 		ID:        binary.BigEndian.Uint64(hdr[3:11]),
 		QueueNs:   int64(binary.BigEndian.Uint64(hdr[11:19])),
@@ -101,13 +130,46 @@ func Read(r io.Reader) (*Message, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[31:35])
 	if n > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, n)
+		return buf, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, n)
 	}
-	if n > 0 {
-		m.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, m.Payload); err != nil {
-			return nil, err
-		}
+	if n == 0 {
+		return buf, nil
 	}
-	return m, nil
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	m.Payload = buf[:n]
+	_, err := io.ReadFull(r, m.Payload)
+	return buf, err
+}
+
+// decoderBufferSize is the read-ahead of a Decoder: one read system call
+// brings in every frame the peer has batched, up to this many bytes.
+const decoderBufferSize = 64 << 10
+
+// Decoder reads a stream of frames through a read-ahead buffer, so that a
+// burst of frames costs one read system call and not two per frame, and
+// decodes each into storage it reuses. It parses with the same code as Read.
+type Decoder struct {
+	r       *bufio.Reader
+	hdr     [headerSize]byte
+	msg     Message
+	payload []byte
+}
+
+// NewDecoder returns a Decoder reading frames from r.
+func NewDecoder(r io.Reader) *Decoder {
+	return &Decoder{r: bufio.NewReaderSize(r, decoderBufferSize)}
+}
+
+// Next decodes the next frame. The message and its Payload belong to the
+// Decoder and are valid only until the next call to Next: a caller that
+// keeps the payload past that copies it. Errors are those of Read.
+func (d *Decoder) Next() (*Message, error) {
+	var err error
+	d.payload, err = decode(d.r, &d.hdr, &d.msg, d.payload)
+	if err != nil {
+		return nil, err
+	}
+	return &d.msg, nil
 }

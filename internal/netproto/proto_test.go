@@ -207,3 +207,135 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
+
+// corpusFrames is FuzzRead's seed corpus as encoded frames.
+func corpusFrames(f *testing.F) [][]byte {
+	var frames [][]byte
+	for _, m := range []*Message{
+		{Type: TypeRequest, ID: 42, Payload: []byte("hello tailbench")},
+		{Type: TypeResponse, ID: 7, QueueNs: 1234, ServiceNs: 567890, Depth: 13, Payload: []byte{1}},
+		{Type: TypeShutdown, ID: 1},
+		{Type: TypeError, ID: 9, Payload: []byte("payload")},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, buf.Bytes())
+	}
+	return append(frames, make([]byte, headerSize))
+}
+
+// errClass names the ways a decode ends, for comparing two decoders.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "none"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "truncated"
+	case errors.Is(err, io.EOF):
+		return "end"
+	case errors.Is(err, ErrBadMagic):
+		return "bad magic"
+	case errors.Is(err, ErrPayloadTooLarge):
+		return "too large"
+	}
+	return "other: " + err.Error()
+}
+
+// FuzzDecoder decodes a byte stream frame by frame with Decoder.Next and
+// with repeated Read: both must yield the same frames, end with the same
+// class of error, and stop at the same offset. Every decoded frame must
+// also encode to the same bytes through Append as through Write. Run with
+//
+//	go test ./internal/netproto -run '^$' -fuzz FuzzDecoder -fuzztime 30s
+func FuzzDecoder(f *testing.F) {
+	frames := corpusFrames(f)
+	for _, a := range frames {
+		for _, b := range frames {
+			f.Add(append(append([]byte(nil), a...), b...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ref := bytes.NewReader(data)
+		var want []*Message
+		var wantErr error
+		for {
+			m, err := Read(ref)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, m)
+		}
+
+		src := bytes.NewReader(data)
+		d := NewDecoder(src)
+		var got int
+		var gotErr error
+		for {
+			m, err := d.Next()
+			if err != nil {
+				gotErr = err
+				break
+			}
+			if got == len(want) {
+				t.Fatalf("Decoder yields frame %d, Read stopped after %d (%v)", got, len(want), wantErr)
+			}
+			w := want[got]
+			if m.Type != w.Type || m.ID != w.ID || m.QueueNs != w.QueueNs || m.ServiceNs != w.ServiceNs ||
+				m.Depth != w.Depth || !bytes.Equal(m.Payload, w.Payload) {
+				t.Fatalf("frame %d: Decoder %+v, Read %+v", got, m, w)
+			}
+			var written bytes.Buffer
+			if err := Write(&written, m); err != nil {
+				t.Fatalf("Write of a decoded frame: %v", err)
+			}
+			prefix := []byte("prefix")
+			appended, err := Append(prefix, m)
+			if err != nil {
+				t.Fatalf("Append of a decoded frame: %v", err)
+			}
+			if !bytes.Equal(appended[len(prefix):], written.Bytes()) || string(appended[:len(prefix)]) != "prefix" {
+				t.Fatalf("frame %d: Append %x, Write %x", got, appended, written.Bytes())
+			}
+			got++
+		}
+		if got != len(want) {
+			t.Fatalf("Decoder stopped after %d frames (%v), Read after %d", got, gotErr, len(want))
+		}
+		if g, w := errClass(gotErr), errClass(wantErr); g != w {
+			t.Fatalf("Decoder ends with %s (%v), Read with %s (%v)", g, gotErr, w, wantErr)
+		}
+		if g, w := len(data)-src.Len()-d.r.Buffered(), len(data)-ref.Len(); g != w {
+			t.Fatalf("Decoder stops at byte %d, Read at %d", g, w)
+		}
+	})
+}
+
+func TestDecoderReusesStorage(t *testing.T) {
+	var stream bytes.Buffer
+	for i := uint64(0); i < 3; i++ {
+		if err := Write(&stream, &Message{Type: TypeRequest, ID: i, Payload: []byte{byte(i), 2, 3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := NewDecoder(&stream)
+	first, err := d.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := first.Payload
+	for i := uint64(1); i < 3; i++ {
+		m, err := d.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != first || &m.Payload[0] != &payload[0] || m.ID != i || m.Payload[0] != byte(i) {
+			t.Fatalf("frame %d: %+v decoded into fresh storage or wrongly", i, m)
+		}
+	}
+	if _, err := d.Next(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}

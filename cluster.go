@@ -103,7 +103,8 @@ type ClusterSpec struct {
 	Seed int64
 	// KeepRaw retains every cluster-wide latency sample in the result.
 	KeepRaw bool
-	// Validate makes the harness check every response (integrated mode).
+	// Validate makes the harness check every response (every live mode:
+	// the in-process and the net transports both check).
 	Validate bool
 	// Slowdowns optionally assigns each replica a service-time inflation
 	// factor for straggler studies; empty means all replicas run at nominal

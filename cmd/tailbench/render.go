@@ -16,8 +16,8 @@ import (
 // live and replayed views are the same bytes.
 
 // runReport implements the report subcommand: the suite's reference
-// information (Table I domains, the Table II system, and optionally
-// per-application calibration summaries), or with -input a saved result.
+// information (Table I domains, and optionally per-application calibration
+// summaries), or with -input a saved result.
 func runReport(args []string) {
 	fs := newFlagSet("report")
 	var (
@@ -40,8 +40,6 @@ func runReport(args []string) {
 	for _, app := range tailbench.Apps() {
 		fmt.Printf("%-10s %s\n", app, sweep.Domain(app))
 	}
-	fmt.Println()
-	fmt.Println("Simulated system (Table II):", tailbench.SystemDescription())
 
 	if !*calibrate {
 		return

@@ -19,7 +19,6 @@ func runSingle(args []string) {
 		shapeArg = fs.String("shape", "", "time-varying load shape, e.g. diurnal:500,300,10s or spike:500,1500,5s,2s (overrides -qps; see tailbench.ParseLoadShape)")
 		window   = fs.Duration("window", 0, "windowed latency accounting width (0 = automatic for time-varying shapes)")
 		threads  = fs.Int("threads", 1, "application worker threads")
-		clients  = fs.Int("clients", 0, "client connections for loopback/networked modes (0 = auto)")
 		requests = fs.Int("requests", 2000, "measured requests")
 		warmup   = fs.Int("warmup", 0, "warmup requests (0 = 10% of requests, negative = none)")
 		scale    = fs.Float64("scale", 1.0, "application dataset scale")
@@ -44,7 +43,6 @@ func runSingle(args []string) {
 		Load:         shape,
 		Window:       *window,
 		Threads:      *threads,
-		Clients:      *clients,
 		Requests:     *requests,
 		Warmup:       *warmup,
 		Scale:        *scale,

@@ -169,3 +169,23 @@ func TestUnknownTransport(t *testing.T) {
 		t.Fatalf("err = %v, want unknown transport", err)
 	}
 }
+
+// TestHarnessFloor measures a one-replica loopback cluster, the path of a
+// single-server loopback run, against an echo server at 2,000 QPS: with no
+// service time, the reported sojourn is the harness's own. It catches a
+// pacer that sleeps outside the netpoller, which starves the connection
+// goroutines it paces.
+func TestHarnessFloor(t *testing.T) {
+	t.Run(TransportLoopback, func(t *testing.T) {
+		res, err := Run("echo", fakeServers(1, 0), newFakeClient, Config{
+			Transport: TransportLoopback, Replicas: 1, QPS: 2000, Threads: 1,
+			Requests: 2000, WarmupRequests: 100, Seed: 23,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := 200 * time.Microsecond; res.Sojourn.P50 >= floor {
+			t.Errorf("echo sojourn p50 = %v at 2000 QPS, want < %v", res.Sojourn.P50, floor)
+		}
+	})
+}

@@ -34,7 +34,7 @@ func RunClosedLoop(server app.Server, newClient ClientFactory, cfg RunConfig) (*
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalize()
 
 	collector := newRunCollector(cfg)
 	var wg sync.WaitGroup

@@ -65,11 +65,9 @@ type Collector struct {
 	first time.Time
 	last  time.Time
 
-	// tracer and traceNet mirror measured samples into a span-tree recorder
-	// (flat trees: the harnesses feeding a Collector directly have no
-	// fan-out); traceNet is the synthetic RTT charged inside each sojourn.
-	tracer   *trace.Recorder
-	traceNet time.Duration
+	// tracer mirrors measured samples into a span-tree recorder (flat
+	// trees: the harnesses feeding a Collector directly have no fan-out).
+	tracer *trace.Recorder
 
 	// met holds live-metrics handles when SetMetrics installed a registry.
 	met *collectorMetrics
@@ -113,19 +111,9 @@ func newRunCollector(cfg RunConfig) *Collector {
 	} else {
 		c = NewCollector(cfg.KeepRaw)
 	}
-	c.SetTrace(cfg.Trace, 0)
+	c.tracer = cfg.Trace
 	c.SetMetrics(cfg.Metrics, "run")
 	return c
-}
-
-// SetTrace mirrors measured samples into a span-tree recorder; netRTT is the
-// synthetic round-trip charged inside each sojourn (networked runs), so the
-// trace separates it from queueing. A nil recorder disables mirroring.
-func (c *Collector) SetTrace(rec *trace.Recorder, netRTT time.Duration) {
-	c.mu.Lock()
-	c.tracer = rec
-	c.traceNet = netRTT
-	c.mu.Unlock()
 }
 
 // SetMetrics instruments the collector against a shared registry under the
@@ -162,7 +150,7 @@ func (c *Collector) Record(s Sample) {
 		c.first = now
 	}
 	c.last = now
-	c.tracer.ObserveRequest(s.Offset, s.Queue, s.Service, s.Sojourn, c.traceNet, 0, 0, s.Err)
+	c.tracer.ObserveRequest(s.Offset, s.Queue, s.Service, s.Sojourn, 0, 0, 0, s.Err)
 	if s.Err {
 		c.errors++
 		if c.met != nil {

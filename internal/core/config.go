@@ -1,9 +1,10 @@
 // Package core implements the TailBench harness: the open-loop traffic
 // shaper, the instrumented request queue, the statistics collector, and the
-// three measurement configurations described in Sec. IV of the paper
-// (integrated, loopback, and networked), plus the closed-loop load tester
-// used to demonstrate the coordinated-omission pitfall and the repeated-run
-// controller that enforces the confidence-interval targets of Sec. IV-C.
+// in-process (integrated) measurement configuration of Sec. IV, the
+// NetServer and ReplicaConn that the loopback and networked configurations
+// run over (as one-replica clusters, see internal/cluster), the closed-loop
+// load tester used to demonstrate the coordinated-omission pitfall, and the
+// repeated-run aggregation of Sec. IV-C.
 package core
 
 import (
@@ -74,10 +75,8 @@ type RunConfig struct {
 	Window time.Duration
 	// Threads is the number of application worker threads.
 	Threads int
-	// Clients is the number of client generators (connections) used by the
-	// loopback and networked configurations. The harness ensures there are
-	// enough clients that client-side queuing does not skew measurements;
-	// if zero, a value is derived from QPS and Threads.
+	// Clients is the number of closed-loop client threads (RunClosedLoop
+	// only); if zero, a value is derived from Threads.
 	Clients int
 	// Requests is the number of measured requests to issue (after warmup).
 	Requests int
@@ -94,11 +93,6 @@ type RunConfig struct {
 	KeepRaw bool
 	// Validate makes clients check every response and counts failures.
 	Validate bool
-	// NetworkDelay is the extra one-way delay injected per message in the
-	// Networked configuration to model NIC + switch latency. Ignored by the
-	// other configurations. Defaults to 25µs, the per-end overhead the paper
-	// measured on its tuned setup.
-	NetworkDelay time.Duration
 	// Timeout bounds the whole run. Zero means a generous default derived
 	// from the request count and offered load.
 	Timeout time.Duration
@@ -119,8 +113,11 @@ var (
 	ErrNilClient  = errors.New("core: client factory must not be nil")
 )
 
-// withDefaults normalizes a RunConfig.
-func (c RunConfig) withDefaults() RunConfig {
+// Normalize resolves a RunConfig's defaults. Callers that hand a run to
+// another engine (the one-replica cluster behind the loopback and networked
+// configurations) resolve through it, so every live configuration shares
+// one warmup rule.
+func (c RunConfig) Normalize() RunConfig {
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}
@@ -136,7 +133,7 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.WarmupRequests = 0
 	}
 	if c.Clients <= 0 {
-		// Enough connections that client-side serialization is never the
+		// Enough clients that client-side serialization is never the
 		// bottleneck: at least 2 per worker thread, at most 16.
 		c.Clients = 2 * c.Threads
 		if c.Clients > 16 {
@@ -145,9 +142,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.NetworkDelay <= 0 {
-		c.NetworkDelay = 25 * time.Microsecond
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = defaultTimeoutShape(c.Requests+c.WarmupRequests, c.shape())

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tailbench/internal/app"
+	"tailbench/internal/workload"
 )
 
 // fakeServer is a synthetic latency-critical application with a configurable
@@ -77,26 +79,23 @@ func TestConfigKindString(t *testing.T) {
 }
 
 func TestRunConfigDefaults(t *testing.T) {
-	c := RunConfig{}.withDefaults()
+	c := RunConfig{}.Normalize()
 	if c.Threads != 1 || c.Requests != 1000 || c.WarmupRequests != 100 || c.Clients != 2 || c.Seed != 1 {
 		t.Errorf("defaults: %+v", c)
-	}
-	if c.NetworkDelay != 25*time.Microsecond {
-		t.Errorf("default network delay = %v", c.NetworkDelay)
 	}
 	if c.Timeout <= 0 {
 		t.Errorf("default timeout not set")
 	}
-	c = RunConfig{Requests: 100}.withDefaults()
+	c = RunConfig{Requests: 100}.Normalize()
 	if c.WarmupRequests != 50 {
 		t.Errorf("warmup floor should be 50, got %d", c.WarmupRequests)
 	}
 	// Negative means explicitly no warmup (0 is taken by the default).
-	c = RunConfig{Requests: 100, WarmupRequests: -1}.withDefaults()
+	c = RunConfig{Requests: 100, WarmupRequests: -1}.Normalize()
 	if c.WarmupRequests != 0 {
 		t.Errorf("negative warmup should mean none, got %d", c.WarmupRequests)
 	}
-	c = RunConfig{Threads: 16}.withDefaults()
+	c = RunConfig{Threads: 16}.Normalize()
 	if c.Clients != 16 {
 		t.Errorf("clients should cap at 16, got %d", c.Clients)
 	}
@@ -265,61 +264,6 @@ func TestQueuingGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestNetServerLoopback(t *testing.T) {
-	srv := &fakeServer{name: "fake", busyWork: 30 * time.Microsecond}
-	cfg := RunConfig{QPS: 1000, Threads: 2, Requests: 200, WarmupRequests: 40, Seed: 13, KeepRaw: true, Validate: true}
-	res, err := SingleRun(Loopback, srv, fakeFactory(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Config != Loopback {
-		t.Errorf("config = %v", res.Config)
-	}
-	if res.Requests != 200 {
-		t.Errorf("requests = %d", res.Requests)
-	}
-	if res.Errors != 0 {
-		t.Errorf("errors = %d", res.Errors)
-	}
-	// Sojourn over TCP includes protocol overheads, so it must be at least
-	// the server-measured service time.
-	if res.Sojourn.Mean < res.Service.Mean {
-		t.Errorf("sojourn mean (%v) should be >= service mean (%v)", res.Sojourn.Mean, res.Service.Mean)
-	}
-}
-
-func TestNetworkedAddsDelay(t *testing.T) {
-	srv := &fakeServer{name: "fake", busyWork: 20 * time.Microsecond}
-	// The injected one-way delay is large relative to scheduling noise
-	// (hundreds of microseconds on a busy single-CPU machine), so the
-	// p50 comparison stays robust under full-suite contention.
-	base := RunConfig{QPS: 500, Threads: 1, Requests: 150, WarmupRequests: 30, Seed: 17, NetworkDelay: time.Millisecond}
-	loop, err := SingleRun(Loopback, srv, fakeFactory(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netw, err := SingleRun(Networked, srv, fakeFactory(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := netw.Sojourn.P50 - loop.Sojourn.P50
-	if diff < 1200*time.Microsecond {
-		t.Errorf("networked config should add ~2ms RTT vs loopback; p50 difference was %v", diff)
-	}
-}
-
-func TestNetServerErrorPropagation(t *testing.T) {
-	srv := &fakeServer{name: "fail", fail: true}
-	cfg := RunConfig{QPS: 0, Threads: 1, Requests: 40, WarmupRequests: 10, Seed: 19}
-	res, err := SingleRun(Loopback, srv, fakeFactory(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 40 {
-		t.Errorf("errors = %d, want 40", res.Errors)
-	}
-}
-
 func TestNetServerStartClose(t *testing.T) {
 	ns := NewNetServer(&fakeServer{name: "fake"}, 0)
 	addr, err := ns.Start("127.0.0.1:0")
@@ -404,20 +348,27 @@ func TestMeasureServiceTimes(t *testing.T) {
 func TestRunRepeated(t *testing.T) {
 	srv := &fakeServer{name: "fake", busyWork: 30 * time.Microsecond}
 	cfg := RunConfig{QPS: 1000, Threads: 1, Requests: 150, WarmupRequests: 30, Seed: 37, KeepRaw: true}
-	res, err := RunRepeated(Integrated, srv, fakeFactory(), cfg, RepeatOptions{MinRuns: 2, MaxRuns: 3, TargetRelativeCI: 0.5})
+	var seeds []int64
+	res, err := RunRepeated(2, cfg, func(c RunConfig) (*Result, error) {
+		seeds = append(seeds, c.Seed)
+		return RunIntegrated(srv, fakeFactory(), c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Runs < 2 {
-		t.Errorf("runs = %d, want >= 2", res.Runs)
+	if res.Runs != 2 {
+		t.Errorf("runs = %d, want 2", res.Runs)
 	}
-	if res.Requests < 300 {
-		t.Errorf("aggregated requests = %d, want >= 300", res.Requests)
+	if want := []int64{workload.SplitSeed(37, 1), workload.SplitSeed(37, 2)}; !slices.Equal(seeds, want) {
+		t.Errorf("per-run seeds = %v, want %v", seeds, want)
+	}
+	if res.Requests != 300 {
+		t.Errorf("aggregated requests = %d, want 300", res.Requests)
 	}
 	if res.P95CI.Runs != res.Runs {
 		t.Errorf("CI runs = %d, want %d", res.P95CI.Runs, res.Runs)
 	}
-	if len(res.SojournSamples) < 300 {
+	if len(res.SojournSamples) != 300 {
 		t.Errorf("pooled samples = %d", len(res.SojournSamples))
 	}
 }
@@ -425,28 +376,16 @@ func TestRunRepeated(t *testing.T) {
 func TestRunRepeatedSingleRunPassthrough(t *testing.T) {
 	srv := &fakeServer{name: "fake", busyWork: 10 * time.Microsecond}
 	cfg := RunConfig{QPS: 500, Threads: 1, Requests: 80, WarmupRequests: 20, Seed: 41}
-	res, err := RunRepeated(Integrated, srv, fakeFactory(), cfg, RepeatOptions{MinRuns: 1, MaxRuns: 1})
+	res, err := RunRepeated(1, cfg, func(c RunConfig) (*Result, error) {
+		if c.Seed != cfg.Seed {
+			t.Errorf("a single run got seed %d, want the configured %d", c.Seed, cfg.Seed)
+		}
+		return RunIntegrated(srv, fakeFactory(), c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Runs != 1 {
 		t.Errorf("runs = %d", res.Runs)
-	}
-}
-
-func TestSingleRunUnknownKind(t *testing.T) {
-	if _, err := SingleRun(ConfigKind(99), &fakeServer{}, fakeFactory(), RunConfig{Requests: 10}); err == nil {
-		t.Error("unknown configuration should error")
-	}
-}
-
-func TestRepeatOptionsDefaults(t *testing.T) {
-	o := RepeatOptions{}.withDefaults()
-	if o.MinRuns != 3 || o.MaxRuns != 10 || o.TargetRelativeCI != 0.01 {
-		t.Errorf("defaults: %+v", o)
-	}
-	o = RepeatOptions{MinRuns: 5, MaxRuns: 2}.withDefaults()
-	if o.MaxRuns < o.MinRuns {
-		t.Errorf("MaxRuns must be >= MinRuns: %+v", o)
 	}
 }

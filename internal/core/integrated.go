@@ -43,7 +43,7 @@ func RunIntegrated(server app.Server, newClient ClientFactory, cfg RunConfig) (*
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalize()
 
 	client, err := newClient(workload.SplitSeed(cfg.Seed, 1))
 	if err != nil {

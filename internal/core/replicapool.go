@@ -14,11 +14,11 @@ import (
 // It owns a fixed set of TCP connections, spreads framed request sends over
 // them round-robin, and runs one reader goroutine per connection that hands
 // every response (with the server-measured queue/service times and queue
-// depth from the netproto header) to a caller-supplied callback. It
-// generalizes the per-connection send/receive loop of RunNetworked into the
-// reusable building block the networked cluster and pipeline transports
-// dispatch through: one pool per replica, with the balancer deciding
-// client-side which replica's pool a request is issued on.
+// depth from the netproto header) to a caller-supplied callback. It is the
+// building block the networked cluster and pipeline transports (and so the
+// single-server loopback and networked runs) dispatch through: one pool per
+// replica, with the balancer deciding client-side which replica's pool a
+// request is issued on.
 //
 // Alongside the wire plumbing the pool maintains the two client-side load
 // signals a balancer can steer by: Outstanding (requests sent and not yet

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,75 +9,17 @@ import (
 	"tailbench/internal/workload"
 )
 
-// RepeatOptions controls the repeated-run methodology of Sec. IV-C: runs are
-// repeated with re-randomized requests and inter-arrival times until the
-// 95% confidence interval of the reported tail-latency metrics is tight
-// enough, countering run-to-run performance hysteresis.
-type RepeatOptions struct {
-	// MinRuns is the minimum number of runs to perform (default 3).
-	MinRuns int
-	// MaxRuns caps the number of runs (default 10).
-	MaxRuns int
-	// TargetRelativeCI is the target half-width of the 95% confidence
-	// interval, relative to the mean, for the 95th-percentile sojourn
-	// latency (default 0.01, i.e. 1%).
-	TargetRelativeCI float64
-}
-
-// withDefaults normalizes RepeatOptions.
-func (o RepeatOptions) withDefaults() RepeatOptions {
-	if o.MinRuns <= 0 {
-		o.MinRuns = 3
+// RunRepeated performs runs measurement runs of cfg through run, each with a
+// fresh seed (SplitSeed(cfg.Seed, i+1) for run i), and aggregates them: the
+// repeated-run methodology of Sec. IV-C, which re-randomizes requests and
+// inter-arrival times to counter run-to-run hysteresis. The returned Result
+// reports, for each latency metric, the mean across runs, and carries the
+// confidence interval of the p95 sojourn latency. CDFs and raw samples come
+// from the merge of all runs. runs <= 1 calls run once with cfg unchanged.
+func RunRepeated(runs int, cfg RunConfig, run func(RunConfig) (*Result, error)) (*Result, error) {
+	if runs <= 1 {
+		return run(cfg)
 	}
-	if o.MaxRuns < o.MinRuns {
-		o.MaxRuns = o.MinRuns
-		if o.MaxRuns < 10 {
-			o.MaxRuns = 10
-		}
-	}
-	if o.TargetRelativeCI <= 0 {
-		o.TargetRelativeCI = 0.01
-	}
-	return o
-}
-
-// SingleRun executes one measurement run of the given configuration kind.
-// It wires the pieces together for the common case where the server runs in
-// this process: Integrated and Simulated call the in-process path directly,
-// while Loopback and Networked start a NetServer on the loopback interface
-// and drive it over TCP.
-func SingleRun(kind ConfigKind, server app.Server, newClient ClientFactory, cfg RunConfig) (*Result, error) {
-	switch kind {
-	case Integrated, Simulated:
-		res, err := RunIntegrated(server, newClient, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Config = kind
-		return res, nil
-	case Loopback, Networked:
-		ns := NewNetServer(server, cfg.withDefaults().Threads)
-		ns.SetMetrics(cfg.Metrics, "server")
-		addr, err := ns.Start("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer ns.Close()
-		return RunNetworked(addr, server.Name(), newClient, cfg, kind)
-	default:
-		return nil, fmt.Errorf("core: unknown configuration %v", kind)
-	}
-}
-
-// ErrNoSuccessfulRuns is returned when every repeated run failed.
-var ErrNoSuccessfulRuns = errors.New("core: no successful runs")
-
-// RunRepeated performs repeated measurement runs with fresh seeds and
-// aggregates them. The returned Result reports, for each latency metric, the
-// mean across runs, and carries the confidence interval of the p95 sojourn
-// latency. CDFs and raw samples come from the merge of all runs.
-func RunRepeated(kind ConfigKind, server app.Server, newClient ClientFactory, cfg RunConfig, opts RepeatOptions) (*Result, error) {
-	opts = opts.withDefaults()
 	baseSeed := cfg.Seed
 	if baseSeed == 0 {
 		baseSeed = 1
@@ -88,25 +29,15 @@ func RunRepeated(kind ConfigKind, server app.Server, newClient ClientFactory, cf
 		results []*Result
 		p95s    []float64
 	)
-	for run := 0; run < opts.MaxRuns; run++ {
+	for i := 0; i < runs; i++ {
 		runCfg := cfg
-		runCfg.Seed = workload.SplitSeed(baseSeed, int64(run+1))
-		res, err := SingleRun(kind, server, newClient, runCfg)
+		runCfg.Seed = workload.SplitSeed(baseSeed, int64(i+1))
+		res, err := run(runCfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: repeated run %d: %w", run, err)
+			return nil, fmt.Errorf("core: repeated run %d: %w", i, err)
 		}
 		results = append(results, res)
 		p95s = append(p95s, float64(res.Sojourn.P95))
-		if run+1 < opts.MinRuns {
-			continue
-		}
-		ci := stats.ConfidenceInterval95(p95s)
-		if ci.Relative() <= opts.TargetRelativeCI {
-			break
-		}
-	}
-	if len(results) == 0 {
-		return nil, ErrNoSuccessfulRuns
 	}
 	agg := aggregateResults(results)
 	agg.P95CI = stats.ConfidenceInterval95(p95s)
@@ -116,9 +47,6 @@ func RunRepeated(kind ConfigKind, server app.Server, newClient ClientFactory, cf
 // aggregateResults merges repeated-run results: latency metrics are averaged
 // across runs, counts are summed, and distributions/raw samples are pooled.
 func aggregateResults(results []*Result) *Result {
-	if len(results) == 1 {
-		return results[0]
-	}
 	out := *results[0]
 	out.Runs = len(results)
 	var (

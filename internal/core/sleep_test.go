@@ -26,29 +26,21 @@ func TestWaitUntil(t *testing.T) {
 	}
 }
 
-// TestHarnessFloor measures the harness against an echo server at 2,000 QPS:
-// with no service time, the reported sojourn is the harness's own. The
-// loopback row catches a pacer that sleeps outside the netpoller, which
-// starves the connection goroutines it paces.
+// TestHarnessFloor measures the integrated harness against an echo server
+// at 2,000 QPS: with no service time, the reported sojourn is the harness's
+// own. The loopback row runs over the one-replica cluster, in
+// internal/cluster.
 func TestHarnessFloor(t *testing.T) {
 	cfg := RunConfig{QPS: 2000, Threads: 1, Requests: 2000, WarmupRequests: 100, Seed: 23}
-	for _, tc := range []struct {
-		kind ConfigKind
-		max  time.Duration
-	}{
-		{Integrated, 100 * time.Microsecond},
-		{Loopback, 200 * time.Microsecond},
-	} {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			res, err := SingleRun(tc.kind, &fakeServer{name: "echo"}, fakeFactory(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Sojourn.P50 >= tc.max {
-				t.Errorf("echo sojourn p50 = %v at %v QPS, want < %v", res.Sojourn.P50, cfg.QPS, tc.max)
-			}
-		})
-	}
+	t.Run(Integrated.String(), func(t *testing.T) {
+		res, err := RunIntegrated(&fakeServer{name: "echo"}, fakeFactory(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := 100 * time.Microsecond; res.Sojourn.P50 >= floor {
+			t.Errorf("echo sojourn p50 = %v at %v QPS, want < %v", res.Sojourn.P50, cfg.QPS, floor)
+		}
+	})
 }
 
 // raceEnabled is set by race_test.go in a -race build.

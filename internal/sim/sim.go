@@ -14,7 +14,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -24,38 +23,6 @@ import (
 	"tailbench/internal/stats"
 	"tailbench/internal/workload"
 )
-
-// SystemConfig documents the simulated system, mirroring Table II of the
-// paper. It is informational: the latency model does not depend on it, but
-// reports include it so experiments are self-describing.
-type SystemConfig struct {
-	Cores        int
-	FrequencyGHz float64
-	L1KB         int
-	L2KB         int
-	L3MB         int
-	MemoryGB     int
-	Description  string
-}
-
-// DefaultSystemConfig mirrors the paper's Xeon E5-2670 testbed (Table II).
-func DefaultSystemConfig() SystemConfig {
-	return SystemConfig{
-		Cores:        8,
-		FrequencyGHz: 2.4,
-		L1KB:         32,
-		L2KB:         256,
-		L3MB:         20,
-		MemoryGB:     32,
-		Description:  "8-core SandyBridge-like system, 20 MB inclusive L3, DDR3-1333 (Table II)",
-	}
-}
-
-// String renders the configuration as a Table II style description.
-func (c SystemConfig) String() string {
-	return fmt.Sprintf("%d cores @ %.1f GHz, L1 %dKB, L2 %dKB, L3 %dMB, %d GB DRAM — %s",
-		c.Cores, c.FrequencyGHz, c.L1KB, c.L2KB, c.L3MB, c.MemoryGB, c.Description)
-}
 
 // AppModel is the calibrated per-application model the simulator runs.
 type AppModel struct {

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,16 +21,6 @@ func calibratedModel(t *testing.T, app string, mem, sync float64) *AppModel {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestSystemConfig(t *testing.T) {
-	cfg := DefaultSystemConfig()
-	if cfg.Cores != 8 || cfg.L3MB != 20 {
-		t.Errorf("Table II values wrong: %+v", cfg)
-	}
-	if !strings.Contains(cfg.String(), "8 cores") {
-		t.Errorf("String() = %q", cfg.String())
-	}
 }
 
 func TestCalibrate(t *testing.T) {

@@ -32,6 +32,7 @@ import (
 	"tailbench/internal/apps/specjbb"
 	"tailbench/internal/apps/sphinx"
 	"tailbench/internal/apps/xapian"
+	"tailbench/internal/cluster"
 	"tailbench/internal/core"
 	"tailbench/internal/sim"
 	"tailbench/internal/stats"
@@ -166,8 +167,8 @@ type RunSpec struct {
 	Window time.Duration
 	// Threads is the number of application worker threads (default 1).
 	Threads int
-	// Clients is the number of client connections for the loopback and
-	// networked modes (default derived from Threads).
+	// Clients is the number of closed-loop client threads; only
+	// RunClosedLoop reads it (default derived from Threads).
 	Clients int
 	// Requests is the number of measured requests (default 1000).
 	Requests int
@@ -285,7 +286,6 @@ func (s RunSpec) runConfig() core.RunConfig {
 		Seed:           s.Seed,
 		KeepRaw:        s.KeepRaw,
 		Validate:       s.Validate,
-		NetworkDelay:   s.NetworkDelay,
 		Metrics:        s.Metrics,
 	}
 }
@@ -301,7 +301,7 @@ func factoryFor(name string) (app.Factory, error) {
 
 // NewServer constructs an application server directly. Most users should
 // call Run instead; NewServer is useful for embedding an application behind
-// a custom harness (e.g. the NetServer in examples/configcompare).
+// a custom harness.
 func NewServer(name string, threads int, scale float64, seed int64) (app.Server, error) {
 	f, err := factoryFor(name)
 	if err != nil {
@@ -336,19 +336,78 @@ func Run(spec RunSpec) (*Result, error) {
 	rec := spec.Trace.recorder()
 	runCfg := spec.runConfig()
 	runCfg.Trace = rec
-	var res *core.Result
-	if spec.Repeats > 1 {
-		res, err = core.RunRepeated(spec.Mode.kind(), server, clientFactory, runCfg,
-			core.RepeatOptions{MinRuns: spec.Repeats, MaxRuns: spec.Repeats})
-	} else {
-		res, err = core.SingleRun(spec.Mode.kind(), server, clientFactory, runCfg)
+	run := func(c core.RunConfig) (*core.Result, error) { return core.RunIntegrated(server, clientFactory, c) }
+	if spec.Mode == ModeLoopback || spec.Mode == ModeNetworked {
+		run = func(c core.RunConfig) (*core.Result, error) {
+			return runOneReplica(spec.Mode, spec.NetworkDelay, server, clientFactory, c)
+		}
 	}
+	res, err := core.RunRepeated(spec.Repeats, runCfg, run)
 	if err != nil {
 		return nil, err
 	}
 	out := fromCore(spec, res)
 	out.Trace = rec.Report()
 	return out, nil
+}
+
+// runOneReplica runs one server as a one-replica cluster over the mode's
+// transport, so a single-server loopback or networked run and RunCluster
+// with one replica run the same dispatcher and wire. cfg resolves through
+// core's defaults first (the warmup keeps its 50-request floor), and the
+// cluster result comes back as a core.Result labelled with the mode, so
+// repeats and fromCore stay shared with the integrated path.
+func runOneReplica(mode Mode, netDelay time.Duration, server app.Server, newClient core.ClientFactory, cfg core.RunConfig) (*core.Result, error) {
+	if cfg.Requests < 0 {
+		return nil, core.ErrNoRequests
+	}
+	cfg = cfg.Normalize()
+	warmup := cfg.WarmupRequests
+	if warmup == 0 {
+		warmup = -1 // the cluster's spelling of "no warmup"
+	}
+	transport, _ := transportForMode(mode)
+	res, err := cluster.Run(server.Name(), []app.Server{server}, newClient, cluster.Config{
+		Transport:      transport,
+		Replicas:       1,
+		Threads:        cfg.Threads,
+		QPS:            cfg.QPS,
+		Load:           cfg.Load,
+		Window:         cfg.Window,
+		Requests:       cfg.Requests,
+		WarmupRequests: warmup,
+		Seed:           cfg.Seed,
+		KeepRaw:        cfg.KeepRaw,
+		Validate:       cfg.Validate,
+		NetDelay:       netDelay,
+		Trace:          cfg.Trace,
+		Metrics:        cfg.Metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &core.Result{
+		App:            res.App,
+		Config:         mode.kind(),
+		OfferedQPS:     res.OfferedQPS,
+		Shape:          res.Shape,
+		ShapeSpec:      res.ShapeSpec,
+		AchievedQPS:    res.AchievedQPS,
+		Threads:        res.Threads,
+		Requests:       res.Requests,
+		Warmups:        res.Warmups,
+		Errors:         res.Errors,
+		Queue:          res.Queue,
+		Service:        res.Service,
+		Sojourn:        res.Sojourn,
+		ServiceCDF:     res.ServiceCDF,
+		SojournCDF:     res.SojournCDF,
+		ServiceSamples: res.ServiceSamples,
+		SojournSamples: res.SojournSamples,
+		Windows:        res.Windows,
+		Elapsed:        res.Elapsed,
+		Runs:           1,
+	}, nil
 }
 
 // fromCore labels the harness result with the run mode. The result blocks are
@@ -508,10 +567,4 @@ func RunClosedLoop(spec RunSpec) (*Result, error) {
 		return nil, err
 	}
 	return fromCore(spec, res), nil
-}
-
-// SystemDescription returns the Table II style description of the simulated
-// system.
-func SystemDescription() string {
-	return sim.DefaultSystemConfig().String()
 }

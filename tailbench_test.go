@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tailbench/internal/app"
+	"tailbench/internal/core"
 )
 
 func TestApps(t *testing.T) {
@@ -117,6 +120,45 @@ func TestRunLoopbackSpecjbb(t *testing.T) {
 	}
 	if res.Requests != 200 || res.Errors != 0 {
 		t.Errorf("requests=%d errors=%d", res.Requests, res.Errors)
+	}
+}
+
+// TestRunOneReplicaResult checks the translation of a one-replica cluster
+// run back into the single-server result: core's warmup rule (10% with a
+// 50-request floor, negative meaning none) survives the hand-off to the
+// cluster engine, whose own default has no floor, and the result is labelled
+// with the configuration that ran.
+func TestRunOneReplicaResult(t *testing.T) {
+	f, err := factoryFor("masstree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := app.Config{Scale: 0.01, Seed: 7}.Normalize()
+	server, err := f.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	newClient := func(seed int64) (app.Client, error) { return f.NewClient(cfg, seed) }
+	for _, tc := range []struct {
+		warmup      int
+		wantWarmups uint64
+	}{{0, 50}, {-1, 0}} {
+		res, err := runOneReplica(ModeLoopback, 0, server, newClient,
+			core.RunConfig{QPS: 2000, Requests: 200, WarmupRequests: tc.warmup, Seed: 7, Validate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Config != core.Loopback || res.Runs != 1 {
+			t.Errorf("config = %v, runs = %d; want loopback, 1", res.Config, res.Runs)
+		}
+		if res.Requests != 200 || res.Warmups != tc.wantWarmups || res.Errors != 0 {
+			t.Errorf("warmup %d: requests=%d warmups=%d errors=%d, want 200/%d/0",
+				tc.warmup, res.Requests, res.Warmups, res.Errors, tc.wantWarmups)
+		}
+	}
+	if _, err := runOneReplica(ModeLoopback, 0, server, newClient, core.RunConfig{Requests: -1}); !errors.Is(err, core.ErrNoRequests) {
+		t.Errorf("negative requests: err = %v, want ErrNoRequests", err)
 	}
 }
 
@@ -245,11 +287,5 @@ func TestClosedLoopUnderestimatesTail(t *testing.T) {
 	}
 	if closed.Sojourn.P95 >= open.Sojourn.P95 {
 		t.Errorf("closed-loop p95 (%v) should underestimate open-loop p95 (%v)", closed.Sojourn.P95, open.Sojourn.P95)
-	}
-}
-
-func TestSystemDescription(t *testing.T) {
-	if !strings.Contains(SystemDescription(), "cores") {
-		t.Errorf("SystemDescription() = %q", SystemDescription())
 	}
 }
